@@ -268,7 +268,6 @@ def _write_trajectories(path: str, trajectories) -> None:
 
 
 def _sim_options(ns: argparse.Namespace, extra: dict) -> dict:
-    keys = dict(THETA0)
     keys = {"alpha": THETA0["alpha"], "beta": THETA0["beta"],
             "lam": THETA0["lambda"], "gamma": THETA0["gamma"],
             "eta": THETA0["eta"], **_DESIGN_DEFAULTS,
@@ -397,15 +396,17 @@ def cmd_replicate_study(ns: argparse.Namespace) -> int:
             for i in range(n_reps):
                 try:
                     results[i] = futures[i].result()
-                except MassHistError as e:
-                    log.error("replicate %d failed: %s", i, e)
+                except Exception:
+                    # one replicate (or a dead worker) must not lose the
+                    # study: count it as failed and keep going
+                    log.exception("replicate %d failed", i)
                     failures += 1
     else:
         for i in range(n_reps):
             try:
                 results[i] = _one_replicate(theta, design, rep_seeds[i])
-            except MassHistError as e:
-                log.error("replicate %d failed: %s", i, e)
+            except Exception:
+                log.exception("replicate %d failed", i)
                 failures += 1
 
     lines = ["replicate," + ",".join(_SUMMARY_ROWS) + ",loglik,converged"]

@@ -348,13 +348,12 @@ def param_names(model: ModelKind, *, free_eta: bool = False) -> tuple[str, ...]:
 
 
 def validate_params(model: ModelKind, values: Mapping[str, float]):
-    """Turn a name->value mapping into the typed parameter object for a
-    model, applying that model's domain checks.
+    """Turn a name->value mapping into the parameter object for a model,
+    applying that model's domain checks.
 
-    LRM / LRM_PLUS return SsbParams with degenerate lead time
-    (lambda = 1, gamma = 1 placeholders are NOT used: these models have
-    no lead-time parameters, so plain floats suffice downstream); to
-    keep one return convention they come back as a dict of floats.
+    SSB / SSB_PLUS return SsbParams and LRM_RE returns ReParams.  LRM /
+    LRM_PLUS have no lead-time or random-effect parameters, so they
+    return a plain dict {"alpha", "beta", "eta"} of checked floats.
     """
     model = ModelKind(model)
     vals = dict(values)

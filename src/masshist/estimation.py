@@ -10,13 +10,16 @@ The shared-lead-time models are estimated by the profiled grid scheme:
   stage 3  profile_iterate: alternate stage-2 sweeps with grid sweeps
            over (lambda, gamma) until the requested number of rounds.
 
-Grid stages evaluate the likelihood on a fixed composite Gauss-Legendre
-mesh in u (one mesh per observation time, reused for every parameter
-combination), which makes a full (alpha, beta) grid a few vectorized
-array passes instead of thousands of adaptive integrations.  Every
-refinement keeps the incumbent in its candidate set, so the reported
-likelihood trace is nondecreasing by construction; the final quoted
-log-likelihood is recomputed with the adaptive rule.
+Grid stages and the Nelder-Mead polish evaluate the likelihood with one
+kernel, _mesh_loglik: a fixed composite Gauss-Legendre mesh in u (one
+mesh per observation time, reused for every parameter combination),
+evaluated over a whole batch of parameter points with every count of an
+observation time in the same array passes.  A full (alpha, beta) grid
+is then a few hundred cache-sized blocks of array passes instead of
+thousands of adaptive integrations.  Every refinement keeps the
+incumbent in its candidate set, so the reported likelihood trace is
+nondecreasing by construction; the final quoted log-likelihood is
+recomputed with the adaptive rule.
 
 The logistic families (plain, extended, random effects) are smooth
 low-dimensional problems and go through Nelder-Mead from a coarse grid
@@ -32,15 +35,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import expit, log_expit, logit
+from scipy.special import expit, logit
 
 from .core import CountDataset, FitResult, ModelKind, ReParams, SsbParams
 from .errors import (DomainError, InsufficientTimes, MissingBaseline,
                      NoFiniteMle, NonMonotoneProfile, SingularInformation)
-from .likelihood import (_log_binom_coef, frozen_dataset_loglik, lrm_loglik,
-                         re_loglik, ssb_dataset_loglik)
-from .quadrature import (DEFAULT_QUAD, QuadConfig, fixed_u_panels,
-                         weibull_logpdf)
+from .likelihood import (_log_binom_coef, _log_failure, _log_success,
+                         frozen_dataset_loglik, lrm_loglik, re_loglik,
+                         ssb_dataset_loglik)
+from .quadrature import DEFAULT_QUAD, QuadConfig, fixed_u_panels
 
 log = logging.getLogger(__name__)
 
@@ -229,115 +232,121 @@ class _DatasetTables:
         self.entries = []
         for t, ks, mult in data.grouped():
             u, w = fixed_u_panels(t, spacing)
+            ks = ks.astype(float)
             self.entries.append({
                 "t": float(t),
                 "u": u,
                 "logw": np.log(w),
-                "ks": ks.astype(np.int64),
+                "ks": ks,
                 "mult": mult.astype(float),
                 "logc": np.array([_log_binom_coef(self.mass, int(k))
                                   for k in ks]),
             })
 
 
-def _log_success_arr(z: np.ndarray, eta: float) -> np.ndarray:
-    if eta >= 1.0:
-        return log_expit(z)
-    return math.log(eta) + log_expit(z)
+# exp() of anything below this adds under 1e-300 to a sum whose largest
+# term is 1, so raising smaller arguments to it changes no log-sum-exp;
+# below about -708 numpy's exp leaves its vector path and costs ten
+# times as much per element, and a third of the terms of a first-level
+# logistic sweep lie down there
+_EXP_FLOOR = -700.0
+
+# elements per (points x counts x nodes) block in _mesh_loglik: 512 KB
+# of doubles, so a block and its temporaries stay near cache size
+_BLOCK = 1 << 16
 
 
-def _log_failure_arr(z: np.ndarray, eta: float) -> np.ndarray:
-    if eta >= 1.0:
-        return log_expit(-z)
-    return np.log1p(-eta * expit(z))
+def _log_sigmoid(z: np.ndarray) -> np.ndarray:
+    """log(expit(z)) as min(z, 0) - log1p(exp(-|z|)).  Within 1e-15
+    relative of scipy's log_expit, which runs a scalar loop that costs
+    several times more per element on sweep-sized arrays."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.log1p(e, out=e)
+    return np.subtract(np.minimum(z, 0.0), e, out=e)
 
 
-def _lse_last(x: np.ndarray) -> np.ndarray:
-    """logsumexp along the last axis, hand-rolled: the sweeps call this
-    thousands of times on large blocks and the scipy version's generality
-    costs more than the reduction itself."""
-    m = np.max(x, axis=-1)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(x - safe[..., None]), axis=-1))
-    return np.where(np.isfinite(m), out + safe, m)
+def _logsumexp_last(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) along the last axis, overwriting x.  Terms more
+    than 700 nats (-_EXP_FLOOR) below their row's maximum are raised to
+    that floor before exp; an all -inf row gives -inf."""
+    m = x.max(axis=-1)
+    finite = np.isfinite(m)
+    shift = np.where(finite, m, 0.0)
+    x -= shift[..., None]
+    np.maximum(x, _EXP_FLOOR, out=x)
+    np.exp(x, out=x)
+    return np.where(finite, np.log(x.sum(axis=-1)) + shift, m)
 
 
-def _logistic_sweep(tables: _DatasetTables, lam: float, gamma: float,
-                    alphas: np.ndarray, betas: np.ndarray,
-                    etas: np.ndarray) -> np.ndarray:
-    """Dataset log-likelihood on the (alpha, beta, eta) grid at fixed
-    lead-time parameters; shape (A, B, E)."""
-    A, B, E = len(alphas), len(betas), len(etas)
-    out = np.zeros((A, B, E))
+def _mesh_loglik(tables: _DatasetTables, alpha, beta, lam, gamma,
+                 etas) -> np.ndarray:
+    """Fixed-mesh dataset log-likelihood over a batch of parameter points.
+
+    alpha, beta, lam and gamma broadcast together to the batch shape S;
+    the result has shape S + (len(etas),).  Each observation time
+    computes z = alpha + beta (t - u) and its log-sigmoid once and loops
+    over eta inside; all counts of the time then share each array pass,
+    taken over blocks of (points x counts x nodes) of at most _BLOCK
+    elements (or one node row, if that is longer).  This one kernel
+    serves the logistic sweep, the lead-time sweep and the single-point
+    polish, so their values are directly comparable across stages.
+    """
+    alpha, beta, lam, gamma = (np.asarray(v, dtype=float)[..., None]
+                               for v in (alpha, beta, lam, gamma))
+    etas = np.asarray(etas, dtype=float).ravel()
+    shape = np.broadcast_shapes(alpha.shape, beta.shape, lam.shape,
+                                gamma.shape)[:-1]
+    n_points = math.prod(shape)
+
+    def rows(x):
+        # one row per parameter point, without copying a broadcast axis
+        if x.shape[:-1] != shape:
+            x = np.broadcast_to(x, shape + x.shape[-1:])
+        return x.reshape(n_points, -1)
+
+    out = np.zeros((n_points, etas.size))
     mass = tables.mass
-    al = np.asarray(alphas, dtype=float)[:, None, None]
-    be = np.asarray(betas, dtype=float)[None, :, None]
+    log_scale = np.log(gamma) - np.log(lam)
     for e in tables.entries:
         t, u = e["t"], e["u"]
-        logfu = weibull_logpdf(u, lam, gamma) + e["logw"]
-        log_sf = -(t / lam) ** gamma
-        z = al + be * (t - u)[None, None, :]
-        for ei in range(E):
-            eta = float(etas[ei])
-            if eta == 0.0:
-                for k, m in zip(e["ks"], e["mult"]):
-                    if k > 0:
-                        out[:, :, ei] = -np.inf
-                continue
-            ls = _log_success_arr(z, eta)
-            lf = _log_failure_arr(z, eta)
-            acc = np.zeros((A, B))
-            for k, m, lc in zip(e["ks"], e["mult"], e["logc"]):
-                lg = logfu[None, None, :] + (mass - k) * lf
-                if k > 0:
-                    lg = lg + k * ls
-                li = _lse_last(lg)
-                ll = np.logaddexp(log_sf, li) if k == 0 else lc + li
-                acc += m * ll
-            out[:, :, ei] += acc
-    return out
-
-
-def _weibull_sweep(tables: _DatasetTables, alpha: float, beta: float,
-                   eta: float, lams: np.ndarray,
-                   gammas: np.ndarray) -> np.ndarray:
-    """Dataset log-likelihood on the (lambda, gamma) grid at fixed
-    logistic parameters; shape (L, G)."""
-    lams = np.asarray(lams, dtype=float)
-    gammas = np.asarray(gammas, dtype=float)
-    L, G = len(lams), len(gammas)
-    out = np.zeros((L, G))
-    mass = tables.mass
-    la = lams[:, None, None]
-    ga = gammas[None, :, None]
-    for e in tables.entries:
-        t, u = e["t"], e["u"]
+        ks, mult, logc = e["ks"], e["mult"], e["logc"]
+        zero = ks == 0
+        r = u / lam
+        logfu = (log_scale + (gamma - 1.0) * np.log(r) - r ** gamma
+                 + e["logw"])
+        log_sf = rows(-(t / lam) ** gamma)
         z = alpha + beta * (t - u)
-        lf = _log_failure_arr(z, eta)
-        ls = _log_success_arr(z, eta) if eta > 0 else None
-        r = u[None, None, :] / la
-        logfu = (np.log(ga) - np.log(la) + (ga - 1.0) * np.log(r) - r ** ga
-                 + e["logw"][None, None, :])
-        log_sf = -(t / lams[:, None]) ** gammas[None, :]
-        for k, m, lc in zip(e["ks"], e["mult"], e["logc"]):
-            if eta == 0.0 and k > 0:
-                out[:, :] = -np.inf
+        ls1 = _log_sigmoid(z)
+        n_k = min(ks.size, max(1, _BLOCK // u.size))
+        n_p = max(1, _BLOCK // (n_k * u.size))
+        for i, eta in enumerate(etas):
+            if eta == 0.0:
+                # nothing can succeed: a positive count has probability
+                # 0 and a zero count probability 1
+                if not zero.all():
+                    out[:, i] = -np.inf
                 continue
-            base = (mass - k) * lf
-            if k > 0:
-                base = base + k * ls
-            li = _lse_last(logfu + base[None, None, :])
-            ll = np.logaddexp(log_sf, li) if k == 0 else lc + li
-            out += m * ll
-    return out
-
-
-def _engine_loglik(tables: _DatasetTables, alpha: float, beta: float,
-                   eta: float, lam: float, gamma: float) -> float:
-    """Scalar fixed-mesh dataset log-likelihood, on the same mesh as the
-    grid sweeps so values are directly comparable across stages."""
-    return float(_logistic_sweep(tables, lam, gamma, np.array([alpha]),
-                                 np.array([beta]), np.array([eta]))[0, 0, 0])
+            # k successes weigh mass * log(1 - p) + k * logit(p)
+            if eta >= 1.0:
+                lf, lodds = ls1 - z, z
+            else:
+                lf = np.log1p(-eta * np.exp(ls1))
+                lodds = ls1 + math.log(eta) - lf
+            base = rows(logfu + mass * lf)[:, None, :]
+            lodds = rows(lodds)[:, None, :]
+            for p in range(0, n_points, n_p):
+                pts = slice(p, p + n_p)
+                for c in range(0, ks.size, n_k):
+                    cts = slice(c, c + n_k)
+                    lg = ks[cts, None] * lodds[pts]
+                    lg += base[pts]
+                    li = _logsumexp_last(lg)
+                    ll = np.where(zero[cts], np.logaddexp(log_sf[pts], li),
+                                  logc[cts] + li)
+                    out[pts, i] += ll @ mult[cts]
+    return out.reshape(shape + (etas.size,))
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +432,10 @@ def grid_search_logistic(data: CountDataset, lam: float, gamma: float,
     spec = grid or default_logistic_grid(model)
     with_eta = len(spec.axes) == 3
 
-    def f(*axis_vals):
-        if with_eta:
-            a, b, et = axis_vals
-            return _logistic_sweep(tab, lam, gamma, a, b, et)
-        a, b = axis_vals
-        return _logistic_sweep(tab, lam, gamma, a, b,
-                               np.array([1.0]))[:, :, 0]
+    def f(alphas, betas, etas=(1.0,)):
+        out = _mesh_loglik(tab, alphas[:, None], betas[None, :], lam, gamma,
+                           etas)
+        return out if with_eta else out[:, :, 0]
 
     return grid_refine_max(f, spec, incumbent=incumbent)
 
@@ -442,9 +448,10 @@ def grid_search_logistic(data: CountDataset, lam: float, gamma: float,
 class FitConfig:
     """Knobs shared by all fitting paths.
 
-    engine_spacing is the panel width of the fixed search mesh; the grid
-    stages only need ranking accuracy, and the Nelder-Mead polish plus
-    the final adaptive evaluation restore full precision afterwards.
+    engine_spacing is the panel width of the fixed u-mesh that the
+    fixed-mesh kernel (_mesh_loglik) uses for every grid sweep and for
+    the Nelder-Mead polish; the search only needs ranking accuracy, and
+    the final adaptive evaluation restores full precision afterwards.
     """
 
     quad: QuadConfig = DEFAULT_QUAD
@@ -482,7 +489,8 @@ def _lead_time_stage(tables: _DatasetTables, data: CountDataset,
     t_min, t_max = min(t_obs), max(t_obs)
 
     def f(lams, gammas):
-        return _weibull_sweep(tables, alpha, beta, eta, lams, gammas)
+        return _mesh_loglik(tables, alpha, beta, lams[:, None],
+                            gammas[None, :], (eta,))[:, :, 0]
 
     for walk in range(_MAX_WALKS):
         spec = _lead_time_box(lam, gamma, t_min, t_max)
@@ -567,7 +575,7 @@ def profile_iterate(data: CountDataset, lam0: float, gamma0: float,
             a, b, la, ga, et = unpack(x)
             if not (lam_lo <= la <= lam_hi and _GAMMA_LO <= ga <= _GAMMA_HI):
                 return np.inf
-            return -_engine_loglik(tables, a, b, et, la, ga)
+            return -float(_mesh_loglik(tables, a, b, la, ga, (et,))[0])
 
         x0 = [alpha, math.log(beta), math.log(lam), math.log(gamma)]
         if free_eta:
@@ -675,8 +683,8 @@ def _lrm_grid_scan(data: CountDataset, etas: np.ndarray) -> tuple:
     for eta in etas:
         acc = np.zeros((41, 41))
         for t, ks, mult, z in z_parts:
-            ls = _log_success_arr(z, eta)
-            lf = _log_failure_arr(z, eta)
+            ls = _log_success(z, eta)
+            lf = _log_failure(z, eta)
             for k, m in zip(ks, mult):
                 k = int(k)
                 term = (mass - k) * lf + _log_binom_coef(mass, k)

@@ -7,8 +7,10 @@ checks exit codes, file inventories, and byte-for-byte reproducibility.
 import json
 import math
 
+import numpy as np
 import pytest
 
+import masshist.cli
 from conftest import run_cli_subprocess
 from masshist.core import parse_count_csv
 
@@ -239,6 +241,29 @@ class TestReplicateStudy:
         assert summary["n_used"] == ("1", "")
         assert summary["n_failed"] == ("1", "")
         assert summary["alpha"][1] == "nan"
+
+    def test_unexpected_error_counts_as_failed(self, tmp_path, monkeypatch):
+        # an error outside MassHistError (here from linear algebra) in one
+        # replicate must not lose the others or the output files
+        real = masshist.cli._one_replicate
+        failing_seed = []
+
+        def flaky(theta, design, rep_seed):
+            if not failing_seed or failing_seed[0] == rep_seed:
+                failing_seed.append(rep_seed)
+                raise np.linalg.LinAlgError("singular matrix")
+            return real(theta, design, rep_seed)
+
+        monkeypatch.setattr(masshist.cli, "_one_replicate", flaky)
+        out = tmp_path / "study_linalg"
+        code = masshist.cli.main(["replicate-study", *REP_ARGS, "--n-reps",
+                                  "2", "--out", str(out)])
+        assert code == 0
+        rep_lines = (out / "replicates.csv").read_text().strip().split("\n")
+        assert len(rep_lines) == 2 and rep_lines[1].startswith("1,")
+        summary = (out / "summary.csv").read_text().strip().split("\n")
+        assert "n_failed,1," in summary
+        assert "n_used,1," in summary
 
 
 class TestConfigFile:

@@ -1,27 +1,33 @@
 """Fitting machinery: grid search, profiling, information, BIC.
 
 Oracles: inline brute-force scans of closed-form likelihoods,
-quadratics whose Hessians are known exactly, and self-recovery on data
-simulated from known parameters.
+quadratics whose Hessians are known exactly, self-recovery on data
+simulated from known parameters, and per-count loop versions of the
+fixed-mesh sweeps that the batched kernel replaced.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, log_expit, logsumexp
 
 from masshist.analysis import jacobi_eigenvalues
 from masshist.core import CountDataset, FitResult, ModelKind, SsbParams
 from masshist.errors import (DomainError, InsufficientTimes, MissingBaseline,
                              NoFiniteMle, SingularInformation)
-from masshist.estimation import (FitConfig, GridAxis, GridSpec, bic_delta,
-                                 current_status_loglik, fit_model,
-                                 grid_refine_max, grid_search_logistic,
+from masshist.estimation import (FitConfig, GridAxis, GridSpec, _DatasetTables,
+                                 _lead_time_box, _log_sigmoid,
+                                 _logsumexp_last, _mesh_loglik, bic_delta,
+                                 current_status_loglik, default_logistic_grid,
+                                 fit_model, grid_refine_max,
+                                 grid_search_logistic,
                                  initial_weibull_estimate,
                                  observed_information, profile_iterate,
                                  std_errors_from_information)
-from masshist.likelihood import frozen_dataset_loglik, ssb_dataset_loglik
+from masshist.likelihood import (_log_failure, _log_success,
+                                 frozen_dataset_loglik, ssb_dataset_loglik)
+from masshist.quadrature import weibull_logpdf
 
 
 def axis(name, lo, hi, n, log=False):
@@ -174,6 +180,205 @@ class TestGridSearchLogistic:
         res = grid_search_logistic(sim_dataset, 4.0, 1.5, ModelKind.SSB,
                                    incumbent=inc)
         assert res.point == (-3.3, 0.3) and res.value == 1e9
+
+
+# Loop reference for the fixed-mesh kernel: one array pass per count,
+# with the likelihood module's scipy log_expit helpers and an unclamped
+# exp.
+
+
+def _ref_lse_last(x):
+    m = np.max(x, axis=-1)
+    safe = np.where(np.isfinite(m), m, 0.0)
+    out = np.log(np.sum(np.exp(x - safe[..., None]), axis=-1))
+    return np.where(np.isfinite(m), out + safe, m)
+
+
+def ref_logistic_sweep(tables, lam, gamma, alphas, betas, etas):
+    """Dataset log-likelihood on the (alpha, beta, eta) grid at fixed
+    lead-time parameters; shape (A, B, E)."""
+    A, B, E = len(alphas), len(betas), len(etas)
+    out = np.zeros((A, B, E))
+    mass = tables.mass
+    al = np.asarray(alphas, dtype=float)[:, None, None]
+    be = np.asarray(betas, dtype=float)[None, :, None]
+    for e in tables.entries:
+        t, u = e["t"], e["u"]
+        logfu = weibull_logpdf(u, lam, gamma) + e["logw"]
+        log_sf = -(t / lam) ** gamma
+        z = al + be * (t - u)[None, None, :]
+        for ei in range(E):
+            eta = float(etas[ei])
+            if eta == 0.0:
+                if any(k > 0 for k in e["ks"]):
+                    out[:, :, ei] = -np.inf
+                continue
+            ls = _log_success(z, eta)
+            lf = _log_failure(z, eta)
+            acc = np.zeros((A, B))
+            for k, m, lc in zip(e["ks"], e["mult"], e["logc"]):
+                lg = logfu[None, None, :] + (mass - k) * lf
+                if k > 0:
+                    lg = lg + k * ls
+                li = _ref_lse_last(lg)
+                ll = np.logaddexp(log_sf, li) if k == 0 else lc + li
+                acc += m * ll
+            out[:, :, ei] += acc
+    return out
+
+
+def ref_weibull_sweep(tables, alpha, beta, eta, lams, gammas):
+    """Dataset log-likelihood on the (lambda, gamma) grid at fixed
+    logistic parameters; shape (L, G)."""
+    lams = np.asarray(lams, dtype=float)
+    gammas = np.asarray(gammas, dtype=float)
+    out = np.zeros((len(lams), len(gammas)))
+    mass = tables.mass
+    la = lams[:, None, None]
+    ga = gammas[None, :, None]
+    for e in tables.entries:
+        t, u = e["t"], e["u"]
+        z = alpha + beta * (t - u)
+        lf = _log_failure(z, eta)
+        ls = _log_success(z, eta)
+        r = u[None, None, :] / la
+        logfu = (np.log(ga) - np.log(la) + (ga - 1.0) * np.log(r) - r ** ga
+                 + e["logw"][None, None, :])
+        log_sf = -(t / lams[:, None]) ** gammas[None, :]
+        for k, m, lc in zip(e["ks"], e["mult"], e["logc"]):
+            base = (mass - k) * lf
+            if k > 0:
+                base = base + k * ls
+            li = _ref_lse_last(logfu + base[None, None, :])
+            ll = np.logaddexp(log_sf, li) if k == 0 else lc + li
+            out += m * ll
+    return out
+
+
+def assert_matches_reference(got, ref):
+    assert got.shape == ref.shape
+    assert np.array_equal(np.isposinf(got), np.isposinf(ref))
+    assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+    fin = np.isfinite(ref)
+    assert np.all(np.isfinite(got[fin]))
+    err = np.abs(got[fin] - ref[fin])
+    assert np.all(err <= 1e-9 * (1.0 + np.abs(ref[fin]))), err.max()
+    assert np.argmax(got) == np.argmax(ref)
+
+
+class TestMeshKernel:
+    @pytest.fixture(scope="class")
+    def tables(self, sim_dataset):
+        return _DatasetTables(sim_dataset, FitConfig().engine_spacing)
+
+    @pytest.fixture(scope="class")
+    def logistic_axes(self):
+        alpha_ax, beta_ax, eta_ax = default_logistic_grid(
+            ModelKind.SSB_PLUS).axes
+        return alpha_ax.values(), beta_ax.values(), eta_ax.values()
+
+    def test_ssb_grid(self, tables, logistic_axes):
+        alphas, betas, _ = logistic_axes
+        got = _mesh_loglik(tables, alphas[:, None], betas[None, :], 4.0, 1.5,
+                           (1.0,))
+        ref = ref_logistic_sweep(tables, 4.0, 1.5, alphas, betas, [1.0])
+        assert_matches_reference(got, ref)
+
+    def test_ssb_plus_eta_axis_and_eta_zero(self, tables, logistic_axes):
+        alphas, betas, etas = logistic_axes
+        etas = np.append(etas, 0.0)
+        got = _mesh_loglik(tables, alphas[:, None], betas[None, :], 4.0, 1.5,
+                           etas)
+        ref = ref_logistic_sweep(tables, 4.0, 1.5, alphas, betas, etas)
+        assert np.all(np.isneginf(got[:, :, -1]))
+        assert_matches_reference(got, ref)
+
+    @pytest.mark.parametrize("gamma", [0.75, 1.5])
+    @pytest.mark.parametrize("eta", [1.0, 0.8])
+    def test_lead_time_grid(self, tables, gamma, eta):
+        t_obs = [e["t"] for e in tables.entries]
+        lam_ax, gamma_ax = _lead_time_box(4.0, gamma, min(t_obs),
+                                          max(t_obs)).axes
+        lams, gammas = lam_ax.values(), gamma_ax.values()
+        got = _mesh_loglik(tables, -3.0, 0.15, lams[:, None],
+                           gammas[None, :], (eta,))[:, :, 0]
+        ref = ref_weibull_sweep(tables, -3.0, 0.15, eta, lams, gammas)
+        assert_matches_reference(got, ref)
+
+    @pytest.mark.parametrize("point", [(-3.0, 0.15, 4.0, 1.5, 1.0),
+                                       (-3.7, 0.5, 7.8, 0.75, 1.0),
+                                       (-3.8, 0.54, 4.8, 0.88, 0.905)])
+    def test_single_point(self, tables, point):
+        a, b, lam, gamma, eta = point
+        got = _mesh_loglik(tables, a, b, lam, gamma, (eta,))
+        assert got.shape == (1,)
+        ref = ref_logistic_sweep(tables, lam, gamma, [a], [b], [eta])
+        assert_matches_reference(got, ref.reshape(1))
+
+    def test_counts_at_zero_and_mass(self):
+        data = CountDataset(schedule=(1.0, 3.0, 6.0, 12.0),
+                            counts=((0, 0, 1, 20), (0, 4, 20, 20),
+                                    (0, 9, 13, 20), (20, 20, 20, 17)),
+                            mass=20)
+        tables = _DatasetTables(data, 1.0)
+        alphas = np.linspace(-6.0, 2.0, 9)
+        betas = np.linspace(0.05, 1.5, 7)
+        etas = np.array([0.6, 0.9, 1.0])
+        got = _mesh_loglik(tables, alphas[:, None], betas[None, :], 3.0, 1.2,
+                           etas)
+        ref = ref_logistic_sweep(tables, 3.0, 1.2, alphas, betas, etas)
+        assert_matches_reference(got, ref)
+        lams = np.geomspace(1.0, 9.0, 7)
+        gammas = np.geomspace(0.5, 3.0, 6)
+        for eta in (0.9, 1.0):
+            got = _mesh_loglik(tables, -1.0, 0.4, lams[:, None],
+                               gammas[None, :], (eta,))[:, :, 0]
+            assert_matches_reference(
+                got, ref_weibull_sweep(tables, -1.0, 0.4, eta, lams, gammas))
+
+    def test_all_zero_counts_at_eta_zero(self):
+        data = CountDataset(schedule=(2.0, 5.0), counts=((0, 0), (0,)),
+                            mass=10)
+        got = _mesh_loglik(_DatasetTables(data, 1.0), -2.0, 0.3, 4.0, 1.5,
+                           (0.0, 1.0))
+        assert got[0] == 0.0 and got[1] < 0.0
+
+
+def lse_tolerance(ref):
+    """1e-15 relative, measured against max(|ref|, 1): the kernel forms
+    log(sum) + max, so a result near 0 keeps about 1e-16 absolute
+    accuracy rather than relative (scipy's log1p form keeps both)."""
+    return 1e-15 * np.maximum(np.abs(ref), 1.0)
+
+
+class TestKernelPrimitives:
+    def test_logsumexp_rows_spanning_many_nats(self):
+        rng = np.random.default_rng(3)
+        x = (rng.uniform(-2e4, 0.0, (500, 64))
+             + rng.uniform(-50.0, 50.0, (500, 1)))
+        x[::7, ::3] = -np.inf
+        finite = np.where(np.isfinite(x), x, np.nan)
+        assert np.all(np.nanmax(finite, axis=1) - np.nanmin(finite, axis=1)
+                      > 1e4)
+        ref = logsumexp(x, axis=-1)
+        got = _logsumexp_last(x.copy())
+        assert np.all(np.abs(got - ref) <= lse_tolerance(ref))
+
+    def test_logsumexp_all_neg_inf_rows(self):
+        x = np.array([[-np.inf] * 5, [0.0, -np.inf, -3.0, -np.inf, -1e5],
+                      [-np.inf] * 5])
+        ref = logsumexp(x, axis=-1)
+        got = _logsumexp_last(x.copy())
+        assert np.isneginf(got[0]) and np.isneginf(got[2])
+        assert abs(got[1] - ref[1]) <= lse_tolerance(ref[1])
+
+    def test_log_sigmoid_matches_scipy(self):
+        z = np.concatenate([np.linspace(-800.0, 800.0, 160001),
+                            [0.0, -0.0, 5e-324, -5e-324]])
+        ref = log_expit(z)
+        got = _log_sigmoid(z)
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+        assert got[-4] == got[-3] == -math.log(2.0)
 
 
 class TestProfileIterate:
