@@ -3,8 +3,8 @@ latent lead time: likelihoods, profiled fitting, simulation, and
 ensemble diagnostics."""
 
 from .analysis import (DynamicsReport, Spectrum, cross_section,
-                       dynamics_report, jacobi_eigenvalues, mean_curve,
-                       pca_cumvar, trajectory_covariance, write_report)
+                       dynamics_report, mean_curve, pca_cumvar,
+                       trajectory_covariance, write_report)
 from .core import (CountDataset, FitResult, ModelKind, ReParams, SsbParams,
                    Trajectory, fit_result_from_dict, fit_result_to_dict,
                    format_count_csv, params_from_dict, params_to_dict,
@@ -25,13 +25,14 @@ from .likelihood import (CountPmf, McCountPmf, delta_factor,
                          frozen_dataset_loglik, lrm_count_logpmf, lrm_loglik,
                          marginal_count_pmf, mc_count_pmf, re_loglik,
                          ssb_count_loglik, ssb_dataset_loglik)
-from .quadrature import (QuadConfig, QuadResult, gauss_hermite_2d,
-                         integrate_gh2, integrate_weibull, weibull_cdf,
-                         weibull_logpdf, weibull_logsf, weibull_ppf)
+from .quadrature import (QuadConfig, QuadResult, integrate_weibull,
+                         weibull_cdf, weibull_logpdf, weibull_logsf,
+                         weibull_ppf)
 from .simulation import (SCHEDULE_PRESETS, ProtocolResult, SimConfig,
                          action_time_from_uniform, lead_time_from_uniform,
                          run_protocol, sacrifice_sample, sample_action_time,
-                         sample_lead_time, simulate_re_trajectory,
-                         simulate_trajectory, substream)
+                         sample_lead_time, simulate_design,
+                         simulate_re_trajectory, simulate_trajectory,
+                         substream)
 
 __version__ = "0.1.0"

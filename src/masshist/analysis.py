@@ -1,17 +1,8 @@
 """Ensemble diagnostics: mean curves, cross-sections, and the principal
-component structure of trajectory variation.
-
-The eigensolver is a cyclic Jacobi iteration written out here rather
-than delegated, so the spectrum computation is self-contained and its
-convergence criterion (off-diagonal norm against the trace) is explicit.
-Jacobi is slow for big matrices but bulletproof for the symmetric
-60 x 60 covariances this package produces, and its eigenvalues are
-accurate to machine precision.
-"""
+component structure of trajectory variation."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,7 +17,6 @@ __all__ = [
     "mean_curve",
     "cross_section",
     "trajectory_covariance",
-    "jacobi_eigenvalues",
     "pca_cumvar",
     "dynamics_report",
 ]
@@ -109,71 +99,12 @@ def trajectory_covariance(trajectories: Sequence[Trajectory]) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-# ---------------------------------------------------------------------------
-# cyclic Jacobi eigensolver
-
-
-_JACOBI_TOL = 1e-12
-_MAX_SWEEPS = 60
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    return math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-
-
-def jacobi_eigenvalues(matrix: np.ndarray, tol: float = _JACOBI_TOL,
-                       max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations,
-    descending.
-
-    Sweeps rotate away each off-diagonal entry in turn until the
-    off-diagonal norm drops below tol * scale, where scale is the trace
-    (or the Frobenius norm when the trace is not positive).  Cyclic
-    Jacobi converges quadratically once the matrix is near diagonal, so
-    the sweep cap is generous.
-    """
-    a = np.array(matrix, dtype=float, copy=True)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("matrix must be square")
-    n = a.shape[0]
-    if n == 1:
-        return a.ravel().copy()
-    scale = float(np.trace(a))
-    if scale <= 0.0:
-        scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n)
-    thresh = tol * scale
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) < thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta)
-                                                 + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-    return np.sort(np.diag(a))[::-1].copy()
-
-
 def pca_cumvar(cov: np.ndarray, asym_tol: float = 1e-10) -> Spectrum:
     """Principal component spectrum of a covariance matrix.
 
-    Validates symmetry (relative to the largest entry), runs the Jacobi
-    solver, and returns eigenvalues with cumulative variance fractions.
+    Validates symmetry (relative to the largest entry), takes the
+    eigenvalues from LAPACK's symmetric solver, and returns them in
+    descending order with cumulative variance fractions.
     A zero matrix has no variance to apportion; its cum_frac is all
     ones by convention.
     """
@@ -186,7 +117,7 @@ def pca_cumvar(cov: np.ndarray, asym_tol: float = 1e-10) -> Spectrum:
         raise NotSymmetric(
             f"asymmetry {asym:.3e} exceeds {asym_tol:.1e} of the largest "
             f"entry {biggest:.3e}")
-    ev = jacobi_eigenvalues(0.5 * (cov + cov.T))
+    ev = np.linalg.eigvalsh(0.5 * (cov + cov.T))[::-1]
     total = float(ev.sum())
     if total <= 0.0:
         cum = np.ones_like(ev)

@@ -20,9 +20,9 @@ error, 3 numerical/fit error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -37,15 +37,14 @@ from .errors import CsvFormatError, DomainError, MassHistError
 from .estimation import (FitConfig, bic_delta, fit_model,
                          initial_weibull_estimate, profile_iterate,
                          MODEL_ORDER)
-from .simulation import (SCHEDULE_PRESETS, SimConfig, sacrifice_sample,
-                         simulate_trajectory, substream, run_protocol)
+from .simulation import (SCHEDULE_PRESETS, SimConfig, run_protocol,
+                         simulate_design)
 
 log = logging.getLogger("masshist")
 
 THETA0 = {"alpha": -3.0, "beta": 0.15, "lambda": 4.0, "gamma": 1.5,
           "eta": 1.0}
 
-_THETA_KEYS = ("alpha", "beta", "lambda", "gamma", "eta")
 _DESIGN_DEFAULTS = {"mass": 300, "horizon": 60, "group_size": 10,
                     "schedule": "default", "seed": 0}
 
@@ -101,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulate an ensemble and sacrifice it")
     _add_theta_flags(p)
     _add_design_flags(p)
-    p.add_argument("--n-trajectories", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
 
@@ -109,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="full generate/fit/regenerate comparison run")
     _add_theta_flags(p)
     _add_design_flags(p)
-    p.add_argument("--n-trajectories", type=int, default=None)
     p.add_argument("--hours", default=None,
                    help="cross-section hours, comma list (default 4,16,30)")
     p.add_argument("--out", default=None)
@@ -271,29 +268,27 @@ def _sim_options(ns: argparse.Namespace, extra: dict) -> dict:
     keys = {"alpha": THETA0["alpha"], "beta": THETA0["beta"],
             "lam": THETA0["lambda"], "gamma": THETA0["gamma"],
             "eta": THETA0["eta"], **_DESIGN_DEFAULTS,
-            "n_trajectories": None, "out": ".", **extra}
+            "out": ".", **extra}
     opts = _resolve(ns, keys)
     opts["schedule"] = _schedule_from(opts["schedule"])
-    if opts["n_trajectories"] is None:
-        opts["n_trajectories"] = len(opts["schedule"]) * int(opts["group_size"])
     return opts
 
 
 def _sim_config(opts: dict) -> SimConfig:
     return SimConfig(seed=int(opts["seed"]),
-                     n_trajectories=int(opts["n_trajectories"]),
                      mass=int(opts["mass"]), horizon=int(opts["horizon"]),
                      schedule=opts["schedule"],
                      group_size=int(opts["group_size"]))
 
 
-def _sim_echo(command: str, opts: dict, extra: dict) -> dict:
+def _sim_echo(command: str, opts: dict, config: SimConfig,
+              extra: dict) -> dict:
     return {"command": command, "alpha": opts["alpha"], "beta": opts["beta"],
             "lambda": opts["lam"], "gamma": opts["gamma"], "eta": opts["eta"],
             "mass": int(opts["mass"]), "horizon": int(opts["horizon"]),
             "schedule": list(opts["schedule"]),
             "group_size": int(opts["group_size"]),
-            "n_trajectories": int(opts["n_trajectories"]),
+            "n_trajectories": config.n_trajectories,
             "seed": int(opts["seed"]), "out": str(opts["out"]), **extra}
 
 
@@ -302,12 +297,8 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     params = _theta_from(opts)
     config = _sim_config(opts)
     outdir = str(opts["out"])
-    _write_echo(outdir, _sim_echo("simulate", opts, {}))
-    trajs = [simulate_trajectory(params, config.mass, config.horizon,
-                                 substream(config.seed, 0, i))
-             for i in range(config.n_trajectories)]
-    data = sacrifice_sample(trajs, config.schedule, config.group_size,
-                            substream(config.seed, 1), config.mass)
+    _write_echo(outdir, _sim_echo("simulate", opts, config, {}))
+    trajs, data = simulate_design(params, config)
     _write_trajectories(os.path.join(outdir, "trajectories.csv"), trajs)
     with open(os.path.join(outdir, "dataset.csv"), "w", encoding="utf-8") as fh:
         fh.write(format_count_csv(data))
@@ -322,7 +313,7 @@ def cmd_compare(ns: argparse.Namespace) -> int:
     params = _theta_from(opts)
     config = _sim_config(opts)
     outdir = str(opts["out"])
-    _write_echo(outdir, _sim_echo("compare", opts,
+    _write_echo(outdir, _sim_echo("compare", opts, config,
                                   {"hours": list(hours)}))
     fit_cfg = FitConfig(compute_se=False)
     result = run_protocol(params, config, fit_cfg)
@@ -347,16 +338,8 @@ def cmd_compare(ns: argparse.Namespace) -> int:
 
 
 # one recovery replicate; module-level so process pools can pickle it
-def _one_replicate(theta: tuple, design: tuple, rep_seed: int) -> dict:
-    params = SsbParams(alpha=theta[0], beta=theta[1], lam=theta[2],
-                       gamma=theta[3], eta=theta[4])
-    mass, horizon, schedule, group_size = design
-    n = len(schedule) * group_size
-    trajs = [simulate_trajectory(params, mass, horizon,
-                                 substream(rep_seed, 0, i))
-             for i in range(n)]
-    data = sacrifice_sample(trajs, schedule, group_size,
-                            substream(rep_seed, 1), mass)
+def _one_replicate(params: SsbParams, config: SimConfig) -> dict:
+    _, data = simulate_design(params, config)
     lam0, gamma0 = initial_weibull_estimate(data)
     fit = profile_iterate(data, lam0, gamma0, ModelKind.SSB,
                           config=FitConfig(compute_se=False))
@@ -377,22 +360,20 @@ def cmd_replicate_study(ns: argparse.Namespace) -> int:
         raise DomainError("--n-reps must be >= 1")
     workers = max(1, int(opts["workers"]))
     params = _theta_from(opts)  # validates theta early
+    config = _sim_config(opts)
     outdir = str(opts["out"])
-    _write_echo(outdir, _sim_echo("replicate-study", opts,
+    _write_echo(outdir, _sim_echo("replicate-study", opts, config,
                                   {"n_reps": n_reps, "workers": workers}))
-    theta = (params.alpha, params.beta, params.lam, params.gamma, params.eta)
-    design = (int(opts["mass"]), int(opts["horizon"]), opts["schedule"],
-              int(opts["group_size"]))
-    seed = int(opts["seed"])
-    rep_seeds = [int(np.random.SeedSequence((seed, i)).generate_state(
+    rep_seeds = [int(np.random.SeedSequence((config.seed, i)).generate_state(
         1, dtype=np.uint64)[0]) for i in range(n_reps)]
+    configs = [dataclasses.replace(config, seed=s) for s in rep_seeds]
 
     results: list[Optional[dict]] = [None] * n_reps
     failures = 0
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(_one_replicate, theta, design,
-                                      rep_seeds[i]) for i in range(n_reps)}
+            futures = {i: pool.submit(_one_replicate, params, configs[i])
+                       for i in range(n_reps)}
             for i in range(n_reps):
                 try:
                     results[i] = futures[i].result()
@@ -404,7 +385,7 @@ def cmd_replicate_study(ns: argparse.Namespace) -> int:
     else:
         for i in range(n_reps):
             try:
-                results[i] = _one_replicate(theta, design, rep_seeds[i])
+                results[i] = _one_replicate(params, configs[i])
             except Exception:
                 log.exception("replicate %d failed", i)
                 failures += 1

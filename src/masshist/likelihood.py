@@ -324,62 +324,24 @@ def lrm_loglik(alpha: float, beta: float, data: CountDataset,
 # random-effects logistic
 
 
-def _re_obs_loglik(mz: float, vz: float, mass: int, k: int, eta: float,
-                   gh_x: np.ndarray, gh_logw: np.ndarray) -> float:
-    """log E[Binom(k; mass, eta*expit(Z))] for Z ~ N(mz, vz), by
-    Gauss-Hermite recentered on the integrand's mode.
-
-    For large mass the binomial kernel is far narrower than the normal,
-    so a rule centered on the normal's mean puts no nodes under the
-    kernel.  Centering on the mode of log-normal-density + log-kernel
-    (found by a grid scan plus safeguarded Newton steps) and scaling by
-    the curvature there makes a modest fixed order accurate."""
-
-    def logh(z):
-        z = np.asarray(z, dtype=float)
-        out = -0.5 * (z - mz) ** 2 / vz
-        out = out + (mass - k) * _log_failure(z, eta)
-        if k > 0:
-            out = out + k * _log_success(z, eta)
-        return out
-
-    sd = math.sqrt(vz)
-    grid = mz + sd * np.linspace(-8.0, 8.0, 81)
-    if 0 < k < mass * eta:
-        grid = np.append(grid, float(logit(k / (mass * eta))))
-    m0 = float(grid[int(np.argmax(logh(grid)))])
-    # a few damped Newton steps via central differences
-    h = 1e-5 * max(sd, 1.0)
-    for _ in range(8):
-        f0, fp, fm = logh([m0, m0 + h, m0 - h])
-        g1 = (fp - fm) / (2.0 * h)
-        g2 = (fp - 2.0 * f0 + fm) / (h * h)
-        if g2 >= 0.0:
-            break
-        step = -g1 / g2
-        step = max(-4.0 * sd, min(4.0 * sd, step))
-        m1 = m0 + step
-        if logh(m1) >= f0:
-            m0 = m1
-        if abs(step) < 1e-10 * max(1.0, abs(m0)):
-            break
-    f0, fp, fm = logh([m0, m0 + h, m0 - h])
-    g2 = (fp - 2.0 * f0 + fm) / (h * h)
-    scale = math.sqrt(-1.0 / g2) if g2 < 0.0 else sd
-    z_n = m0 + math.sqrt(2.0) * scale * gh_x
-    lse = float(logsumexp(gh_logw + gh_x ** 2 + logh(z_n)))
-    return (lse + math.log(scale) + 0.5 * math.log(2.0)
-            - 0.5 * math.log(2.0 * math.pi * vz))
-
-
 def _re_batch_loglik(mz: np.ndarray, vz: np.ndarray, ks: np.ndarray,
                      mass: int, eta: float, gh_x: np.ndarray,
                      gh_logw: np.ndarray) -> np.ndarray:
-    """Vectorized _re_obs_loglik: one row per (mz, vz, k) entry, the
-    same grid scan, damped Newton mode search, and mode-centered
-    Gauss-Hermite rule applied to all rows at once.  Per-row arithmetic
-    is identical to the scalar path; the loop state (a frozen row, a
-    rejected step) becomes latched masks."""
+    """log E[Binom(k; mass, eta*expit(Z))] for Z ~ N(mz, vz), without
+    the binomial coefficient, for every (mz, vz, k) row at once.
+
+    For large mass the binomial kernel is far narrower than the normal,
+    so a rule centered on the normal's mean puts no nodes under the
+    kernel.  Instead each row's rule is centered on the mode of
+    log-normal-density + log-kernel and scaled by the curvature there,
+    which makes a modest fixed order accurate (a row whose curvature at
+    the mode is not negative keeps sd as its scale).  The mode comes
+    from a scan of mz +- 8 sd, plus the kernel's own peak
+    logit(k / (mass*eta)) when 0 < k < mass*eta, then up to 8 damped
+    Newton steps on central differences: each step is clipped to 4 sd
+    and kept only if it does not lower the integrand, and a row stops
+    for good once its curvature turns nonnegative or its step falls
+    below 1e-10 relative."""
     mz = np.asarray(mz, dtype=float)
     vz = np.asarray(vz, dtype=float)
     k1 = np.asarray(ks, dtype=float)
@@ -436,10 +398,10 @@ def re_loglik(params: ReParams, data: CountDataset,
 
     Each observation depends on the pair only through z = a + b*t, which
     is itself normal, so the double integral collapses to one dimension
-    per observation; that integral is done by mode-centered
-    Gauss-Hermite (see _re_obs_loglik, batched across observations in
-    _re_batch_loglik) with the node sum in log space so deep tails
-    cannot underflow."""
+    per observation; that integral is done by Gauss-Hermite centered on
+    the integrand's mode and scaled by its curvature there, for all
+    observations in one batch (_re_batch_loglik), with the node sum in
+    log space so deep tails cannot underflow."""
     cfg = config or DEFAULT_QUAD
     gh_x, gh_w = hermgauss(int(cfg.gh_nodes))
     gh_logw = np.log(gh_w)

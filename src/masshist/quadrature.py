@@ -1,4 +1,4 @@
-"""Quadrature against a Weibull density, plus Gauss-Hermite helpers.
+"""Quadrature against a Weibull density.
 
 The central object is integrate_weibull, which computes
 
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, ToleranceNotMet
@@ -41,8 +40,6 @@ __all__ = [
     "weibull_cdf",
     "weibull_ppf",
     "fixed_u_panels",
-    "gauss_hermite_2d",
-    "integrate_gh2",
 ]
 
 GL_ORDER = 15
@@ -62,7 +59,7 @@ class QuadConfig:
     rel_tol / abs_tol combine as tol = max(abs_tol, rel_tol * |rough|)
     where rough is a first pass over the initial panels.
     max_subdivisions bounds the total number of panel splits.
-    gh_nodes is the per-dimension Gauss-Hermite order used elsewhere.
+    gh_nodes is the order of re_loglik's Gauss-Hermite rule.
     """
 
     rel_tol: float = 1e-10
@@ -317,44 +314,3 @@ def fixed_u_panels(t: float, spacing: float = 0.5,
     w = (h[:, None] * gw[None, :]).ravel()
     return u, w
 
-
-# ---------------------------------------------------------------------------
-# Gauss-Hermite in two dimensions for normal expectations
-
-
-def gauss_hermite_2d(mean, cov, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights so that sum(w * f(pts)) approximates
-    E[f(X)] for X ~ N(mean, cov) in R^2.
-
-    Built from the tensor product of physicists' Hermite rules under the
-    Cholesky change of variables x = mean + sqrt(2) L z.  Raises
-    DomainError if cov is not symmetric positive definite.
-    """
-    mean = np.asarray(mean, dtype=float).reshape(2)
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (2, 2):
-        raise DomainError("cov must be 2x2")
-    if abs(cov[0, 1] - cov[1, 0]) > 1e-12 * (1.0 + abs(cov[0, 1])):
-        raise DomainError("cov must be symmetric")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise DomainError("cov must be positive definite") from None
-    x, w = hermgauss(int(n_nodes))
-    z1, z2 = np.meshgrid(x, x, indexing="ij")
-    z = np.column_stack([z1.ravel(), z2.ravel()])
-    pts = mean[None, :] + math.sqrt(2.0) * z @ chol.T
-    wts = np.outer(w, w).ravel() / math.pi
-    return pts, wts
-
-
-def integrate_gh2(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                  mean, cov, config: Optional[QuadConfig] = None) -> float:
-    """E[f(A, B)] for (A, B) ~ N(mean, cov) by tensor Gauss-Hermite.
-
-    f must broadcast over arrays of a and b values.
-    """
-    cfg = config or DEFAULT_QUAD
-    pts, wts = gauss_hermite_2d(mean, cov, cfg.gh_nodes)
-    vals = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    return float(np.dot(wts, vals))

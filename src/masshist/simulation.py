@@ -41,6 +41,7 @@ __all__ = [
     "simulate_trajectory",
     "simulate_re_trajectory",
     "sacrifice_sample",
+    "simulate_design",
     "run_protocol",
 ]
 
@@ -61,7 +62,6 @@ class SimConfig:
     """Protocol layout: how many trajectories, how they are consumed."""
 
     seed: int
-    n_trajectories: int = 100
     mass: int = 300
     horizon: int = 60
     schedule: tuple[float, ...] = SCHEDULE_PRESETS["default"]
@@ -69,7 +69,6 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "n_trajectories", int(self.n_trajectories))
         object.__setattr__(self, "mass", int(self.mass))
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "group_size", int(self.group_size))
@@ -89,10 +88,11 @@ class SimConfig:
             raise DomainError("schedule must be strictly increasing")
         if sched[-1] > self.horizon:
             raise DomainError("schedule extends past the horizon")
-        if self.n_trajectories != len(sched) * self.group_size:
-            raise DomainError(
-                f"n_trajectories ({self.n_trajectories}) must equal "
-                f"len(schedule) * group_size ({len(sched)} * {self.group_size})")
+
+    @property
+    def n_trajectories(self) -> int:
+        """Each scheduled time consumes group_size whole trajectories."""
+        return len(self.schedule) * self.group_size
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -229,6 +229,22 @@ def sacrifice_sample(trajectories: Sequence[Trajectory],
     return CountDataset(schedule=tuple(sched), counts=tuple(cols), mass=mass)
 
 
+def simulate_design(params: SsbParams,
+                    config: SimConfig) -> tuple[list[Trajectory], CountDataset]:
+    """Simulate config.n_trajectories shared-lead-time trajectories and
+    sacrifice them on the schedule.
+
+    Sub-streams: (seed, 0, i) drives trajectory i, (seed, 1) the
+    sacrifice permutation.
+    """
+    trajs = [simulate_trajectory(params, config.mass, config.horizon,
+                                 substream(config.seed, 0, i))
+             for i in range(config.n_trajectories)]
+    data = sacrifice_sample(trajs, config.schedule, config.group_size,
+                            substream(config.seed, 1), config.mass)
+    return trajs, data
+
+
 # ---------------------------------------------------------------------------
 # the full generate / sacrifice / fit / regenerate protocol
 
@@ -257,18 +273,14 @@ def run_protocol(theta0: SsbParams, config: SimConfig,
     lead-time model and the random-effects logistic to the counts, then
     simulate the fitted random-effects model.
 
-    Sub-streams: (seed, 0, i) drives trajectory i, (seed, 1) the
-    sacrifice permutation, (seed, 2, i) random-effects trajectory i.
+    Sub-streams: those of simulate_design, plus (seed, 2, i) for
+    random-effects trajectory i.
     """
     from .estimation import FitConfig, fit_model  # deferred, avoids cycle
     from .core import ModelKind
 
     cfg = fit_config or FitConfig(compute_se=False)
-    trajs = [simulate_trajectory(theta0, config.mass, config.horizon,
-                                 substream(config.seed, 0, i))
-             for i in range(config.n_trajectories)]
-    data = sacrifice_sample(trajs, config.schedule, config.group_size,
-                            substream(config.seed, 1), config.mass)
+    trajs, data = simulate_design(theta0, config)
     ssb_fit = fit_model(data, ModelKind.SSB, cfg)
     re_fit = fit_model(data, ModelKind.LRM_RE, cfg)
     re_params = ReParams(mu1=re_fit.estimates["mu1"],

@@ -19,7 +19,8 @@ import pytest
 import masshist
 from masshist.core import ModelKind, SsbParams, read_count_csv
 from masshist.estimation import FitConfig, fit_model
-from masshist.simulation import sacrifice_sample, simulate_trajectory, substream
+from masshist.simulation import (SimConfig, simulate_design,
+                                 simulate_trajectory, substream)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REAL_DATA_CSV = REPO_ROOT / "data" / "invasion_counts.csv"
@@ -57,14 +58,11 @@ def make_protocol_dataset(seed: int, params: SsbParams = THETA0,
                           mass: int = 300, horizon: int = 60,
                           schedule=(2, 4, 6, 8, 10, 12, 24, 36, 48, 60),
                           group_size: int = 10):
-    """One simulated design exactly as the simulate command builds it:
-    per-trajectory sub-streams (seed, 0, i), sacrifice stream (seed, 1)."""
-    n = len(schedule) * group_size
-    trajs = [simulate_trajectory(params, mass, horizon, substream(seed, 0, i))
-             for i in range(n)]
-    data = sacrifice_sample(trajs, schedule, group_size, substream(seed, 1),
-                            mass)
-    return trajs, data
+    """One simulated design exactly as the simulate command builds it."""
+    return simulate_design(params, SimConfig(seed=seed, mass=mass,
+                                             horizon=horizon,
+                                             schedule=schedule,
+                                             group_size=group_size))
 
 
 @pytest.fixture(scope="session")

@@ -140,9 +140,11 @@ class TestSimulate:
         assert all(k == 0 for col in data.counts for k in col)
 
     def test_inconsistent_design_is_input_error(self, cli_env, tmp_path):
-        r = run_cli(cli_env, ["simulate", *SIM_ARGS,
-                              "--n-trajectories", "7"], tmp_path)
+        # hour 8 lies past SIM_ARGS' --horizon 4; the later flag wins
+        r = run_cli(cli_env, ["simulate", *SIM_ARGS, "--schedule", "2,8"],
+                    tmp_path)
         assert r.returncode == 2
+        assert "input error" in r.stderr
 
 
 COMPARE_ARGS = ["--schedule", "2,6,12,24", "--group-size", "2",
@@ -248,11 +250,11 @@ class TestReplicateStudy:
         real = masshist.cli._one_replicate
         failing_seed = []
 
-        def flaky(theta, design, rep_seed):
-            if not failing_seed or failing_seed[0] == rep_seed:
-                failing_seed.append(rep_seed)
+        def flaky(params, config):
+            if not failing_seed or failing_seed[0] == config.seed:
+                failing_seed.append(config.seed)
                 raise np.linalg.LinAlgError("singular matrix")
-            return real(theta, design, rep_seed)
+            return real(params, config)
 
         monkeypatch.setattr(masshist.cli, "_one_replicate", flaky)
         out = tmp_path / "study_linalg"

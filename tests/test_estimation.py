@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from scipy.special import expit, log_expit, logsumexp
 
-from masshist.analysis import jacobi_eigenvalues
 from masshist.core import CountDataset, FitResult, ModelKind, SsbParams
 from masshist.errors import (DomainError, InsufficientTimes, MissingBaseline,
                              NoFiniteMle, SingularInformation)
@@ -491,7 +490,7 @@ class TestObservedInformation:
         theta = np.array([hat.alpha, hat.beta, hat.lam, hat.gamma])
         info = observed_information(ll, theta)
         assert np.allclose(info, info.T)
-        eig = jacobi_eigenvalues(info)
+        eig = np.linalg.eigvalsh(info)
         assert np.all(eig > 0.0)
 
     def test_std_errors_paths(self):

@@ -11,14 +11,14 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import expit, gammaln, logsumexp
+from scipy.special import expit, gammaln, logit, logsumexp
 
 from masshist.core import CountDataset, ReParams, SsbParams
 from masshist.errors import DomainError
 from masshist.likelihood import (delta_factor, lrm_count_logpmf, lrm_loglik,
                                  marginal_count_pmf, mc_count_pmf, re_loglik,
                                  ssb_count_loglik, ssb_dataset_loglik)
-from masshist.likelihood import _re_obs_loglik
+from masshist.likelihood import _log_failure, _log_success
 from masshist.quadrature import weibull_cdf, weibull_logsf
 
 # beta -> 0 proxy: small enough that beta*t is lost against alpha in
@@ -221,6 +221,50 @@ class TestLrmLoglik:
                - lrm_loglik(alpha, beta - h, data)) / (2 * h)
         assert fda == pytest.approx(ga, rel=1e-5)
         assert fdb == pytest.approx(gb, rel=1e-5)
+
+
+def _re_obs_loglik(mz: float, vz: float, mass: int, k: int, eta: float,
+                   gh_x: np.ndarray, gh_logw: np.ndarray) -> float:
+    """log E[Binom(k; mass, eta*expit(Z))] for Z ~ N(mz, vz), by
+    Gauss-Hermite recentered on the integrand's mode: one observation at
+    a time, with plain loops where re_loglik's batch uses latched masks.
+    It is the reference for test_batch_agrees_with_scalar_path."""
+
+    def logh(z):
+        z = np.asarray(z, dtype=float)
+        out = -0.5 * (z - mz) ** 2 / vz
+        out = out + (mass - k) * _log_failure(z, eta)
+        if k > 0:
+            out = out + k * _log_success(z, eta)
+        return out
+
+    sd = math.sqrt(vz)
+    grid = mz + sd * np.linspace(-8.0, 8.0, 81)
+    if 0 < k < mass * eta:
+        grid = np.append(grid, float(logit(k / (mass * eta))))
+    m0 = float(grid[int(np.argmax(logh(grid)))])
+    # a few damped Newton steps via central differences
+    h = 1e-5 * max(sd, 1.0)
+    for _ in range(8):
+        f0, fp, fm = logh([m0, m0 + h, m0 - h])
+        g1 = (fp - fm) / (2.0 * h)
+        g2 = (fp - 2.0 * f0 + fm) / (h * h)
+        if g2 >= 0.0:
+            break
+        step = -g1 / g2
+        step = max(-4.0 * sd, min(4.0 * sd, step))
+        m1 = m0 + step
+        if logh(m1) >= f0:
+            m0 = m1
+        if abs(step) < 1e-10 * max(1.0, abs(m0)):
+            break
+    f0, fp, fm = logh([m0, m0 + h, m0 - h])
+    g2 = (fp - 2.0 * f0 + fm) / (h * h)
+    scale = math.sqrt(-1.0 / g2) if g2 < 0.0 else sd
+    z_n = m0 + math.sqrt(2.0) * scale * gh_x
+    lse = float(logsumexp(gh_logw + gh_x ** 2 + logh(z_n)))
+    return (lse + math.log(scale) + 0.5 * math.log(2.0)
+            - 0.5 * math.log(2.0 * math.pi * vz))
 
 
 class TestReLoglik:

@@ -1,8 +1,7 @@
 """Deterministic integration kernels.
 
-Oracles: closed forms where the integral is elementary, an independent
-inverse-CDF Monte Carlo for the truncated-mean case, and moment
-identities of the bivariate normal for the Gauss-Hermite rule.
+Oracles: closed forms where the integral is elementary and an
+independent inverse-CDF Monte Carlo for the truncated-mean case.
 """
 
 import math
@@ -13,7 +12,6 @@ from scipy.special import expit
 
 from masshist.errors import DomainError, ToleranceNotMet
 from masshist.quadrature import (DEFAULT_QUAD, QuadConfig, fixed_u_panels,
-                                 gauss_hermite_2d, integrate_gh2,
                                  integrate_weibull, weibull_cdf,
                                  weibull_logpdf, weibull_logsf, weibull_ppf)
 
@@ -173,58 +171,6 @@ class TestFixedPanels:
             fixed_u_panels(0.0)
         with pytest.raises(DomainError):
             fixed_u_panels(6.0, spacing=0.0)
-
-
-class TestGaussHermite2d:
-    MEAN = np.array([-2.5, 0.2])
-    COV = np.array([[1.44, -0.3 * 1.2 * 0.08],
-                    [-0.3 * 1.2 * 0.08, 0.0064]])
-
-    def test_normalization(self):
-        val = integrate_gh2(lambda a, b: np.ones_like(a), self.MEAN, self.COV)
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_product_moment(self):
-        mean = np.zeros(2)
-        cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-        val = integrate_gh2(lambda a, b: a * b, mean, cov)
-        assert val == pytest.approx(0.5, abs=1e-10)
-
-    def test_marginal_means(self):
-        va = integrate_gh2(lambda a, b: a, self.MEAN, self.COV)
-        vb = integrate_gh2(lambda a, b: b, self.MEAN, self.COV)
-        assert va == pytest.approx(self.MEAN[0], abs=1e-12)
-        assert vb == pytest.approx(self.MEAN[1], abs=1e-12)
-
-    def test_lognormal_mean(self):
-        val = integrate_gh2(lambda a, b: np.exp(a), self.MEAN, self.COV)
-        expected = math.exp(self.MEAN[0] + 0.5 * self.COV[0, 0])
-        assert val == pytest.approx(expected, rel=1e-10)
-
-    def test_rejects_non_spd(self):
-        with pytest.raises(DomainError):
-            gauss_hermite_2d(self.MEAN, np.array([[1.0, 2.0], [2.0, 1.0]]), 8)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(DomainError):
-            gauss_hermite_2d(self.MEAN, np.array([[1.0, 0.3], [0.1, 1.0]]), 8)
-
-    def test_binomial_integrand_against_monte_carlo(self):
-        # the random-effects count integrand at one observation
-        mass, k, t = 10, 3, 6.0
-        logc = math.lgamma(mass + 1) - math.lgamma(k + 1) - math.lgamma(mass - k + 1)
-
-        def f(a, b):
-            p = expit(a + b * t)
-            return np.exp(logc + k * np.log(p) + (mass - k) * np.log1p(-p))
-
-        quad = integrate_gh2(f, self.MEAN, self.COV)
-        rng = np.random.default_rng(7)
-        n = 1_000_000
-        draws = rng.multivariate_normal(self.MEAN, self.COV, size=n)
-        vals = f(draws[:, 0], draws[:, 1])
-        mc, se = vals.mean(), vals.std(ddof=1) / math.sqrt(n)
-        assert abs(quad - mc) < 3.0 * se
 
 
 class TestQuadConfig:

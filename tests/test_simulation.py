@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from masshist.core import CountDataset, ModelKind, ReParams, SsbParams, Trajectory
+from masshist.core import ModelKind, ReParams, SsbParams, Trajectory
 from masshist.errors import (DomainError, RejectionBudgetExceeded,
                              SizeMismatch)
 from masshist.estimation import FitConfig
 from masshist.quadrature import integrate_weibull, weibull_cdf
 from masshist.simulation import (SimConfig, action_time_from_uniform,
                                  lead_time_from_uniform, run_protocol,
-                                 sacrifice_sample, sample_lead_time,
+                                 sacrifice_sample, simulate_design,
                                  simulate_re_trajectory, simulate_trajectory,
                                  substream)
 
@@ -201,26 +201,50 @@ class TestSimConfig:
         cfg = SimConfig(seed=1)
         assert cfg.n_trajectories == len(cfg.schedule) * cfg.group_size
 
-    def test_rejects_inconsistent_totals(self):
-        with pytest.raises(DomainError):
-            SimConfig(seed=1, n_trajectories=7, schedule=(2.0, 4.0),
-                      group_size=3)
-
     def test_rejects_fractional_schedule(self):
         with pytest.raises(DomainError):
-            SimConfig(seed=1, n_trajectories=2, schedule=(2.5,),
-                      group_size=2)
+            SimConfig(seed=1, schedule=(2.5,), group_size=2)
 
     def test_rejects_schedule_past_horizon(self):
         with pytest.raises(DomainError):
-            SimConfig(seed=1, n_trajectories=2, schedule=(80.0,),
-                      group_size=2, horizon=60)
+            SimConfig(seed=1, schedule=(80.0,), group_size=2, horizon=60)
+
+
+class TestSimulateDesign:
+    THETA = SsbParams(alpha=-3.0, beta=0.15, lam=4.0, gamma=1.5)
+
+    def test_matches_explicit_substreams(self):
+        cfg = SimConfig(seed=8, mass=40, horizon=12,
+                        schedule=(2.0, 6.0, 12.0), group_size=3)
+        trajs, data = simulate_design(self.THETA, cfg)
+        want = [simulate_trajectory(self.THETA, 40, 12, substream(8, 0, i))
+                for i in range(9)]
+        assert len(trajs) == 9
+        for got, ref in zip(trajs, want):
+            assert got.lead_time == ref.lead_time
+            assert np.array_equal(got.counts, ref.counts)
+            assert np.array_equal(got.event_times, ref.event_times)
+        ref_data = sacrifice_sample(want, cfg.schedule, 3, substream(8, 1), 40)
+        assert data == ref_data
+
+    def test_small_design_pinned(self):
+        # values from the inline simulate/sacrifice loops of the CLI, so
+        # a change to the substream keys or the draw order shows here
+        cfg = SimConfig(seed=3, mass=10, horizon=4, schedule=(2.0, 4.0),
+                        group_size=2)
+        trajs, data = simulate_design(self.THETA, cfg)
+        assert data.schedule == (2.0, 4.0)
+        assert data.counts == ((1, 0), (1, 1))
+        assert [int(tr.counts[-1]) for tr in trajs] == [1, 0, 1, 1]
+        assert [tr.lead_time for tr in trajs] == pytest.approx(
+            [0.8005855559735618, 4.737059670447552, 3.686332384236105,
+             0.7703952283967139], rel=1e-12)
 
 
 class TestRunProtocol:
     @staticmethod
     def small_result(seed=5):
-        cfg = SimConfig(seed=seed, n_trajectories=12, mass=50, horizon=24,
+        cfg = SimConfig(seed=seed, mass=50, horizon=24,
                         schedule=(2.0, 6.0, 12.0, 24.0), group_size=3)
         theta = SsbParams(alpha=-3.0, beta=0.15, lam=4.0, gamma=1.5)
         return run_protocol(theta, cfg, FitConfig(compute_se=False))
