@@ -113,11 +113,13 @@ def _log_binom_coef(mass: int, k: int) -> float:
     return float(gammaln(mass + 1) - gammaln(k + 1) - gammaln(mass - k + 1))
 
 
-def _check_obs(mass: int, t: float, k: int) -> None:
+def _check_obs(mass: int, t: float, ks) -> None:
     if not (t > 0 and math.isfinite(t)):
         raise DomainError(f"observation time must be > 0, got {t!r}")
-    if not (0 <= k <= mass):
-        raise DomainError(f"count {k} outside [0, {mass}]")
+    ks = np.atleast_1d(ks)
+    bad = ks[(ks < 0) | (ks > mass)]
+    if bad.size:
+        raise DomainError(f"count {int(bad[0])} outside [0, {mass}]")
 
 
 def _kernel_breakpoints(alpha: float, beta: float, t: float,
@@ -128,9 +130,12 @@ def _kernel_breakpoints(alpha: float, beta: float, t: float,
     i.e. u* = t - (z* - alpha)/beta, with curvature scale sigma_z of
     order 1/sqrt(mass q (1-q)).  When the peak falls at or beyond the
     z ceiling alpha + beta*t the kernel instead decays from u = 0 on a
-    length set by its log-slope there.  For large mass either feature is
-    far narrower than the default mesh; handing its location to the
-    quadrature saves the subdivisions otherwise spent finding it.
+    length set by its log-slope there, and at most by its curvature
+    width 1/(beta sqrt(mass s (1-s))), s = eta expit(z_hi): at a peak
+    sitting on the ceiling the slope is 0 and only the curvature is
+    left.  For large mass either feature is far narrower than the
+    default mesh; handing its location to the quadrature saves the
+    subdivisions otherwise spent finding it.
     """
     if k <= 0:
         return None
@@ -150,38 +155,79 @@ def _kernel_breakpoints(alpha: float, beta: float, t: float,
     if k < mass:
         slope -= (mass - k) * eta * p_hi * (1.0 - p_hi) / (1.0 - eta * p_hi)
     slope *= beta
-    if slope <= 0.0:
+    s = eta * p_hi
+    ell = 1.0 / slope if slope > 0.0 else math.inf
+    if 0.0 < s < 1.0:
+        ell = min(ell, 1.0 / (beta * math.sqrt(mass * s * (1.0 - s))))
+    if not math.isfinite(ell):
         return None
-    ell = 1.0 / slope
     return tuple(ell * c for c in (0.25, 1.0, 4.0, 16.0, 64.0))
 
 
-def _count_loglik_impl(p: SsbParams, mass: int, t: float, k: int,
-                       cfg: QuadConfig, panels=None):
-    """Returns (loglik, converged, panels_used)."""
-    _check_obs(mass, t, k)
+def _shared_breakpoints(alpha: float, beta: float, t: float, mass: int,
+                        ks, eta: float):
+    """The union of every count's _kernel_breakpoints inside (0, t),
+    thinned: a candidate is kept only if it lies at least its own
+    kernel's smallest breakpoint gap above the last one kept.  Each
+    narrow kernel stays bracketed, while wide kernels with nearby peaks
+    do not flood the initial mesh; a single count keeps all of its own.
+    """
+    cands = []
+    for k in ks:
+        bp = _kernel_breakpoints(alpha, beta, t, mass, int(k), eta)
+        if bp is None:
+            continue
+        gap = min(hi - lo for lo, hi in zip(bp, bp[1:]))
+        cands.extend((u, gap) for u in bp if 0.0 < u < t)
+    kept = []
+    last = -math.inf
+    for u, gap in sorted(cands):
+        if u - last >= gap:
+            kept.append(u)
+            last = u
+    return kept
+
+
+def _counts_loglik(p: SsbParams, mass: int, t: float, ks,
+                   cfg: QuadConfig, panels=None):
+    """log Pr[N(t) = k] for every k in ks from one adaptive pass over
+    the lead time (or one pass over the frozen `panels`).  Returns
+    (loglik array, converged, panels_used).
+
+    Each count's binomial kernel is shifted by its own peak
+    (_binom_kernel_peak), so every component of the vector integrand
+    peaks near 1 and none underflows; the k = 0 count adds the atom
+    Pr[U >= t] of lead times still to come.
+    """
+    ks = np.asarray(ks, dtype=np.int64).ravel()
+    _check_obs(mass, t, ks)
     a, b, lam, gam, eta = p.alpha, p.beta, p.lam, p.gamma, p.eta
+    zero = ks == 0
     if eta == 0.0:
         # nobody ever acts: the count is 0 with probability one
-        return ((0.0 if k == 0 else -np.inf), True, ())
+        return np.where(zero, 0.0, -np.inf), True, ()
 
-    def kernel(u: np.ndarray, shift: float) -> np.ndarray:
+    shift = np.array([_binom_kernel_peak(a, b, t, mass, int(k), eta)
+                      for k in ks])
+    fails = (mass - ks).astype(float)
+    succs = ks.astype(float)
+
+    def kernel(u: np.ndarray) -> np.ndarray:
         z = a + b * (t - u)
-        lg = (mass - k) * _log_failure(z, eta)
-        if k > 0:
-            lg = lg + k * _log_success(z, eta)
-        return np.exp(lg - shift)
+        lg = np.multiply.outer(_log_failure(z, eta), fails)
+        lg += np.multiply.outer(_log_success(z, eta), succs)
+        lg -= shift
+        return np.exp(lg, out=lg)
 
-    shift = _binom_kernel_peak(a, b, t, mass, k, eta)
-    breaks = None if panels is not None else _kernel_breakpoints(
-        a, b, t, mass, k, eta)
-    res = integrate_weibull(lambda u: kernel(u, shift), lam, gam, t,
-                            cfg, panels=panels, breakpoints=breaks)
-    log_int = (shift + math.log(res.value)) if res.value > 0.0 else -np.inf
-    if k == 0:
-        ll = float(np.logaddexp(weibull_logsf(t, lam, gam), log_int))
-    else:
-        ll = _log_binom_coef(mass, k) + log_int
+    breaks = None if panels is not None else _shared_breakpoints(
+        a, b, t, mass, ks, eta)
+    res = integrate_weibull(kernel, lam, gam, t, cfg, panels=panels,
+                            breakpoints=breaks)
+    with np.errstate(divide="ignore"):
+        log_int = shift + np.log(res.value)
+    logc = gammaln(mass + 1) - gammaln(ks + 1) - gammaln(mass - ks + 1)
+    ll = np.where(zero, np.logaddexp(weibull_logsf(t, lam, gam), log_int),
+                  logc + log_int)
     return ll, res.converged, res.panels
 
 
@@ -191,20 +237,20 @@ def ssb_count_loglik(params: SsbParams, mass: int, t: float, k: int,
     time model.  Returns -inf when the probability is exactly zero
     (eta = 0 with k > 0)."""
     cfg = config or DEFAULT_QUAD
-    ll, _, _ = _count_loglik_impl(params, mass, t, k, cfg)
-    return ll
+    ll, _, _ = _counts_loglik(params, mass, t, [k], cfg)
+    return float(ll[0])
 
 
 def ssb_dataset_loglik(params: SsbParams, data: CountDataset,
                        config: Optional[QuadConfig] = None) -> float:
     """Sum of ssb_count_loglik over all observations (0 for an empty
-    dataset)."""
+    dataset), with one adaptive pass per observation time covering all
+    of its distinct counts."""
     cfg = config or DEFAULT_QUAD
     total = 0.0
     for t, ks, mult in data.grouped():
-        for k, m in zip(ks, mult):
-            ll, _, _ = _count_loglik_impl(params, data.mass, t, int(k), cfg)
-            total += float(m) * ll
+        ll, _, _ = _counts_loglik(params, data.mass, t, ks, cfg)
+        total += float(np.dot(mult, ll))
     return total
 
 
@@ -217,16 +263,14 @@ def frozen_dataset_loglik(params: SsbParams, data: CountDataset,
     The returned callable maps a parameter vector (alpha, beta, lambda,
     gamma) -- plus eta if free_eta -- to the log-likelihood, evaluating
     every integral on the panel layout the adaptive rule chose at the
-    anchor point.  Freezing the mesh makes the map smooth, which keeps
+    anchor point: one mesh per observation time, shared by all of its
+    counts.  Freezing the mesh makes the map smooth, which keeps
     finite-difference Hessians clean; re-adapting at each perturbed
     point would move panel boundaries discontinuously.
     """
     cfg = config or DEFAULT_QUAD
-    frozen: dict[tuple[float, int], tuple] = {}
-    for t, ks, _ in data.grouped():
-        for k in ks:
-            _, _, panels = _count_loglik_impl(params, data.mass, t, int(k), cfg)
-            frozen[(t, int(k))] = panels
+    frozen = [(t, ks, mult, _counts_loglik(params, data.mass, t, ks, cfg)[2])
+              for t, ks, mult in data.grouped()]
 
     def loglik(theta: np.ndarray) -> float:
         theta = np.asarray(theta, dtype=float)
@@ -237,11 +281,10 @@ def frozen_dataset_loglik(params: SsbParams, data: CountDataset,
         except DomainError:
             return -np.inf
         total = 0.0
-        for t, ks, mult in data.grouped():
-            for k, m in zip(ks, mult):
-                ll, _, _ = _count_loglik_impl(p, data.mass, t, int(k), cfg,
-                                              panels=frozen[(t, int(k))])
-                total += float(m) * ll
+        for t, ks, mult, panels in frozen:
+            ll, _, _ = _counts_loglik(p, data.mass, t, ks, cfg,
+                                      panels=panels)
+            total += float(np.dot(mult, ll))
         return total
 
     return loglik
@@ -249,16 +292,11 @@ def frozen_dataset_loglik(params: SsbParams, data: CountDataset,
 
 def marginal_count_pmf(params: SsbParams, mass: int, t: float,
                        config: Optional[QuadConfig] = None) -> CountPmf:
-    """Pr[N(t) = k] for k = 0..mass.  The entries are each computed by
-    adaptive quadrature and sum to 1 up to quadrature tolerance."""
+    """Pr[N(t) = k] for k = 0..mass, from one adaptive pass over all
+    counts; the entries sum to 1 up to quadrature tolerance."""
     cfg = config or DEFAULT_QUAD
-    probs = np.empty(mass + 1)
-    ok = True
-    for k in range(mass + 1):
-        ll, conv, _ = _count_loglik_impl(params, mass, t, k, cfg)
-        probs[k] = math.exp(ll) if ll > -np.inf else 0.0
-        ok = ok and conv
-    return CountPmf(t=float(t), probs=probs, converged=ok)
+    ll, ok, _ = _counts_loglik(params, mass, t, np.arange(mass + 1), cfg)
+    return CountPmf(t=float(t), probs=np.exp(ll), converged=ok)
 
 
 def delta_factor(params: SsbParams, mass: int, t: float,

@@ -12,6 +12,18 @@ gamma < 1 and flattens the exponential tail, after which a panel-wise
 fixed-order Gauss-Legendre rule with adaptive bisection is accurate to
 near machine precision.
 
+g may be vector valued, returning K integrands at once (the count
+likelihood integrates every count of an observation time in one pass).
+Refinement is breadth first: each level bisects every panel still open
+and evaluates all the halves together, in blocks of at most _BLOCK
+values per call of g (for large K, groups of initial panels are refined
+one after another, which bounds memory and changes no accepted panel).
+A panel is accepted when each component passes its own test, with its
+tolerance taken from its own rough pass, so each component is as
+accurate as its scalar integral would be.  A K-component integral may
+spend K times max_subdivisions splits, what its K scalar integrals had
+between them.
+
 The accepted panels are reported as fractions of the v-domain and can be
 fed back in to re-evaluate the integral on a frozen mesh.  A frozen mesh
 makes the result a smooth function of the parameters, which matters when
@@ -24,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -44,6 +56,9 @@ __all__ = [
 
 GL_ORDER = 15
 _MAX_DEPTH = 50
+# values per call of the integrand in _gl_values: 512 KB of doubles, the
+# block size of estimation._mesh_loglik
+_BLOCK = 1 << 16
 # exp(-v) underflows to 0 well before 800; nothing beyond contributes
 # at double precision, and capping keeps vmax finite for any (t, lam,
 # gamma).
@@ -84,10 +99,12 @@ DEFAULT_QUAD = QuadConfig()
 @dataclass(frozen=True)
 class QuadResult:
     """Value, accumulated error estimate, convergence flag, and the
-    accepted panels expressed as (lo, hi) fractions of the v-domain."""
+    accepted panels expressed as (lo, hi) fractions of the v-domain.
+    value and error are floats for a scalar integrand and (K,) arrays
+    for one with K components."""
 
-    value: float
-    error: float
+    value: Union[float, np.ndarray]
+    error: Union[float, np.ndarray]
     converged: bool
     panels: tuple[tuple[float, float], ...]
 
@@ -146,49 +163,21 @@ def weibull_ppf(p, lam: float, gamma: float):
 # adaptive Gauss-Legendre over [0, vmax] in the substituted variable
 
 
-def _panel_value(phi: Callable[[np.ndarray], np.ndarray],
-                 a: float, b: float) -> float:
+def _gl_values(phi: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
+               b: np.ndarray, width: int) -> np.ndarray:
+    """Gauss-Legendre values of phi on the panels [a_i, b_i], shape
+    (len(a), width).  phi maps n nodes to an (n, width) array; the nodes
+    go to it in blocks of at most _BLOCK values (or one panel, if that
+    is more)."""
     half = 0.5 * (b - a)
-    x = a + half * (_GL_X + 1.0)
-    return half * float(np.dot(_GL_W, phi(x)))
-
-
-class _AdaptState:
-    __slots__ = ("budget", "rel", "err", "converged", "leaves")
-
-    def __init__(self, budget: int, rel: float):
-        self.budget = budget
-        self.rel = rel
-        self.err = 0.0
-        self.converged = True
-        self.leaves: list[tuple[float, float]] = []
-
-
-def _adapt(phi, a: float, b: float, q1: float, tol: float,
-           state: _AdaptState, depth: int) -> float:
-    if state.budget <= 0 or depth > _MAX_DEPTH:
-        state.converged = False
-        state.err += tol
-        state.leaves.append((a, b))
-        return q1
-    state.budget -= 1
-    m = 0.5 * (a + b)
-    left = _panel_value(phi, a, m)
-    right = _panel_value(phi, m, b)
-    q2 = left + right
-    # Second acceptance branch: a panel whose refined value dwarfs the
-    # initial rough scan (a spike the coarse mesh missed) would chase an
-    # absolute tolerance far below its own magnitude, splitting to the
-    # depth cap.  Accepting at rel * |q2| bounds the total error by
-    # tol + rel * int |phi| instead, which is the right scale for the
-    # nonnegative integrands used here.
-    if abs(q2 - q1) <= max(tol, state.rel * abs(q2)):
-        state.err += abs(q2 - q1)
-        state.leaves.append((a, m))
-        state.leaves.append((m, b))
-        return q2
-    return (_adapt(phi, a, m, left, 0.5 * tol, state, depth + 1)
-            + _adapt(phi, m, b, right, 0.5 * tol, state, depth + 1))
+    out = np.empty((a.size, width))
+    step = max(1, _BLOCK // (GL_ORDER * width))
+    for i in range(0, a.size, step):
+        s = slice(i, i + step)
+        x = a[s, None] + half[s, None] * (_GL_X + 1.0)
+        y = phi(x.ravel()).reshape(x.shape + (width,))
+        out[s] = half[s, None] * (_GL_W @ y)
+    return out
 
 
 def _initial_breaks(vmax: float) -> list[float]:
@@ -204,6 +193,28 @@ def _initial_breaks(vmax: float) -> list[float]:
     return breaks
 
 
+def _merge_breakpoints(breaks: list[float], breakpoints, lam: float,
+                       gamma: float, vmax: float) -> list[float]:
+    extra = []
+    for u_b in breakpoints:
+        if not math.isfinite(u_b):
+            continue
+        v_b = (u_b / lam) ** gamma if u_b > 0 else 0.0
+        if 0.0 < v_b < vmax:
+            extra.append(v_b)
+    if not extra:
+        return breaks
+    merged = sorted(set(breaks) | set(extra))
+    # drop near-duplicates that would create degenerate panels
+    breaks = [merged[0]]
+    for x in merged[1:]:
+        if x - breaks[-1] > 1e-12 * vmax:
+            breaks.append(x)
+    if breaks[-1] != vmax:
+        breaks[-1] = vmax
+    return breaks
+
+
 def integrate_weibull(g: Callable[[np.ndarray], np.ndarray],
                       lam: float, gamma: float, t: float,
                       config: Optional[QuadConfig] = None,
@@ -212,67 +223,113 @@ def integrate_weibull(g: Callable[[np.ndarray], np.ndarray],
                       strict: bool = False) -> QuadResult:
     """Integrate g against the Weibull(lam, gamma) density over [0, t].
 
-    g must accept a numpy array of u values and return an array of the
-    same shape.  t <= 0 yields an exact zero.  When `panels` (fractions
-    of the v-domain, as returned in QuadResult.panels) is supplied the
-    integral is evaluated on exactly that frozen mesh with no
-    subdivision, which keeps the result smooth in (lam, gamma, t) and in
-    any parameters of g.  `breakpoints` are u values (for instance a
-    known peak of g and its flanks) inserted into the initial mesh so a
-    feature much narrower than the default panels is bracketed before
-    any subdivision budget is spent.  With strict=True an exhausted
-    subdivision budget raises ToleranceNotMet instead of flagging.
+    g must accept a 1-D numpy array of n u values and return either n
+    values or an (n, K) array of K integrands; the result's value (and
+    error) is then a float or a (K,) array.  t <= 0 yields an exact
+    zero.  When `panels` (fractions of the v-domain, as returned in
+    QuadResult.panels) is supplied the integral is evaluated on exactly
+    that frozen mesh with no subdivision, which keeps the result smooth
+    in (lam, gamma, t) and in any parameters of g.  `breakpoints` are u
+    values (for instance a known peak of g and its flanks) inserted into
+    the initial mesh so a feature much narrower than the default panels
+    is bracketed before any subdivision budget is spent.  With
+    strict=True an exhausted subdivision budget raises ToleranceNotMet
+    instead of flagging.
     """
     _check_weibull(lam, gamma)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
     cfg = config or DEFAULT_QUAD
-    if t <= 0.0:
-        return QuadResult(0.0, 0.0, True, ())
-    vmax = min((t / lam) ** gamma, _VMAX_CAP)
+    vmax = min((t / lam) ** gamma, _VMAX_CAP) if t > 0.0 else 0.0
     inv_gamma = 1.0 / gamma
+    # g's shape, read from one value at u = t
+    shape = np.shape(g(np.array([lam * vmax ** inv_gamma])))[1:]
+    width = shape[0] if shape else 1
+
+    def result(value, error, converged, fr):
+        if not shape:
+            value, error = float(value[0]), float(error[0])
+        return QuadResult(value, error, converged, fr)
+
+    if t <= 0.0:
+        return result(np.zeros(width), np.zeros(width), True, ())
 
     def phi(v: np.ndarray) -> np.ndarray:
-        u = lam * v ** inv_gamma
-        return np.asarray(g(u), dtype=float) * np.exp(-v)
+        y = np.reshape(g(lam * v ** inv_gamma), (v.size, width))
+        return y * np.exp(-v)[:, None]
 
     if panels is not None:
-        total = 0.0
-        for lo, hi in panels:
-            total += _panel_value(phi, lo * vmax, hi * vmax)
-        return QuadResult(total, 0.0, True, tuple(panels))
+        fr = np.asarray(panels, dtype=float).reshape(-1, 2) * vmax
+        total = _gl_values(phi, fr[:, 0], fr[:, 1], width).sum(axis=0)
+        return result(total, np.zeros(width), True, tuple(panels))
 
     breaks = _initial_breaks(vmax)
     if breakpoints is not None:
-        extra = []
-        for u_b in breakpoints:
-            if not math.isfinite(u_b):
-                continue
-            v_b = (u_b / lam) ** gamma if u_b > 0 else 0.0
-            if 0.0 < v_b < vmax:
-                extra.append(v_b)
-        if extra:
-            merged = sorted(set(breaks) | set(extra))
-            # drop near-duplicates that would create degenerate panels
-            breaks = [merged[0]]
-            for x in merged[1:]:
-                if x - breaks[-1] > 1e-12 * vmax:
-                    breaks.append(x)
-            if breaks[-1] != vmax:
-                breaks[-1] = vmax
-    first = [_panel_value(phi, a, b) for a, b in zip(breaks, breaks[1:])]
-    rough = float(sum(first))
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(rough))
-    n_panels = len(first)
-    state = _AdaptState(int(cfg.max_subdivisions), cfg.rel_tol)
-    total = 0.0
-    for (a, b), q1 in zip(zip(breaks, breaks[1:]), first):
-        total += _adapt(phi, a, b, q1, tol / n_panels, state, 0)
-    if strict and not state.converged:
+        breaks = _merge_breakpoints(breaks, breakpoints, lam, gamma, vmax)
+    a0 = np.array(breaks[:-1])
+    b0 = np.array(breaks[1:])
+    first = _gl_values(phi, a0, b0, width)
+    rough = first.sum(axis=0)
+    tol0 = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(rough)) / a0.size
+    budget = int(cfg.max_subdivisions) * width
+    total = np.zeros(width)
+    err = np.zeros(width)
+    leaves = []
+    converged = True
+    # The initial panels are refined in groups of _BLOCK // width, one
+    # group after another, so the values held for open panels stay near
+    # a block; whether a panel is accepted does not depend on the group.
+    group = max(1, _BLOCK // width)
+    for g0 in range(0, a0.size, group):
+        a, b = a0[g0:g0 + group], b0[g0:g0 + group]
+        q1, tol, depth = first[g0:g0 + group], tol0, 0
+        while a.size:
+            # one level: split every open panel (as far as the budget
+            # goes) in one pass; a panel is accepted when every
+            # component passes
+            n_split = min(a.size, budget) if depth <= _MAX_DEPTH else 0
+            if n_split < a.size:
+                converged = False
+                rest = slice(n_split, None)
+                total += q1[rest].sum(axis=0)
+                err += tol * (a.size - n_split)
+                leaves.append(np.stack([a[rest], b[rest]], axis=1))
+                a, b, q1 = a[:n_split], b[:n_split], q1[:n_split]
+                if not n_split:
+                    break
+            budget -= n_split
+            m = 0.5 * (a + b)
+            halves = _gl_values(phi, np.concatenate([a, m]),
+                                np.concatenate([m, b]), width)
+            left, right = halves[:n_split], halves[n_split:]
+            q2 = left + right
+            diff = np.abs(q2 - q1)
+            # Second acceptance branch: a panel whose refined value
+            # dwarfs the initial rough scan (a spike the coarse mesh
+            # missed) would chase an absolute tolerance far below its
+            # own magnitude, splitting to the depth cap.  Accepting at
+            # rel * |q2| bounds the total error by tol + rel * int |phi|
+            # instead, which is the right scale for the nonnegative
+            # integrands used here.
+            ok = np.all(diff <= np.maximum(tol, cfg.rel_tol * np.abs(q2)),
+                        axis=1)
+            total += q2[ok].sum(axis=0)
+            err += diff[ok].sum(axis=0)
+            leaves.append(np.stack([a[ok], m[ok]], axis=1))
+            leaves.append(np.stack([m[ok], b[ok]], axis=1))
+            no = ~ok
+            a = np.stack([a[no], m[no]], axis=1).ravel()
+            b = np.stack([m[no], b[no]], axis=1).ravel()
+            q1 = np.stack([left[no], right[no]], axis=1).reshape(-1, width)
+            tol = 0.5 * tol
+            depth += 1
+    if strict and not converged:
         raise ToleranceNotMet(
             f"subdivision budget {cfg.max_subdivisions} exhausted")
-    fr = tuple((a / vmax, b / vmax) for a, b in state.leaves)
-    return QuadResult(total, state.err, state.converged, fr)
+    leaves = np.concatenate(leaves) / vmax
+    leaves = leaves[np.argsort(leaves[:, 0], kind="stable")]
+    fr = tuple((float(lo), float(hi)) for lo, hi in leaves)
+    return result(total, err, converged, fr)
 
 
 # ---------------------------------------------------------------------------

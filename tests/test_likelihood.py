@@ -2,24 +2,32 @@
 
 Oracles: direct simulation of the data-generating process (mc_count_pmf
 plus inline Monte Carlo for the random-effects model), closed forms in
-the separated and degenerate corners, and an inline tensor
+the separated and degenerate corners, scipy.integrate.quad for single
+shared-lead-time counts, the per-count adaptive integral
+(_count_loglik_ref) for the batched count kernel, and an inline tensor
 Gauss-Hermite rule for the single-observation random-effects case.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import expit, gammaln, logit, logsumexp
+from scipy.integrate import quad
+from scipy.special import expit, gammaln, log_expit, logit, logsumexp
 
 from masshist.core import CountDataset, ReParams, SsbParams
 from masshist.errors import DomainError
-from masshist.likelihood import (delta_factor, lrm_count_logpmf, lrm_loglik,
+from masshist.likelihood import (delta_factor, frozen_dataset_loglik,
+                                 lrm_count_logpmf, lrm_loglik,
                                  marginal_count_pmf, mc_count_pmf, re_loglik,
                                  ssb_count_loglik, ssb_dataset_loglik)
-from masshist.likelihood import _log_failure, _log_success
-from masshist.quadrature import weibull_cdf, weibull_logsf
+from masshist.likelihood import (_binom_kernel_peak, _counts_loglik,
+                                 _kernel_breakpoints, _log_binom_coef,
+                                 _log_failure, _log_success)
+from masshist.quadrature import (DEFAULT_QUAD, QuadConfig, integrate_weibull,
+                                 weibull_cdf, weibull_logsf)
 
 # beta -> 0 proxy: small enough that beta*t is lost against alpha in
 # double arithmetic, yet valid for construction (beta must be > 0)
@@ -91,6 +99,132 @@ class TestSsbCountLoglik:
             assert a == pytest.approx(b, rel=1e-12)
 
 
+def _count_loglik_ref(p, mass, t, k, cfg=DEFAULT_QUAD, panels=None):
+    """log Pr[N(t) = k] from one scalar adaptive integral for this count
+    alone, with its own shift and breakpoints: the per-count loop that
+    _counts_loglik batches, kept as its reference.  Returns (loglik,
+    converged, panels)."""
+    a, b, lam, gam, eta = p.alpha, p.beta, p.lam, p.gamma, p.eta
+    if eta == 0.0:
+        return (0.0 if k == 0 else -np.inf), True, ()
+
+    def kernel(u, shift):
+        z = a + b * (t - u)
+        lg = (mass - k) * _log_failure(z, eta)
+        if k > 0:
+            lg = lg + k * _log_success(z, eta)
+        return np.exp(lg - shift)
+
+    shift = _binom_kernel_peak(a, b, t, mass, k, eta)
+    breaks = None if panels is not None else _kernel_breakpoints(
+        a, b, t, mass, k, eta)
+    res = integrate_weibull(lambda u: kernel(u, shift), lam, gam, t, cfg,
+                            panels=panels, breakpoints=breaks)
+    log_int = shift + math.log(res.value) if res.value > 0.0 else -np.inf
+    if k == 0:
+        ll = float(np.logaddexp(weibull_logsf(t, lam, gam), log_int))
+    else:
+        ll = _log_binom_coef(mass, k) + log_int
+    return ll, res.converged, res.panels
+
+
+def _quad_count_loglik(p, mass, t, k, points):
+    """log Pr[N(t) = k] for k > 0 by scipy.integrate.quad over u, with
+    the kernel shifted by its value at u = 0 (where it peaks in the
+    cases used) and the Weibull density written out."""
+    def lg(u):
+        z = p.alpha + p.beta * (t - u)
+        return (k * (log_expit(z) + math.log(p.eta))
+                + (mass - k) * math.log1p(-p.eta * expit(z)))
+
+    def f(u):
+        r = u / p.lam
+        dens = p.gamma / p.lam * r ** (p.gamma - 1.0) * math.exp(-r ** p.gamma)
+        return math.exp(lg(u) - lg(0.0)) * dens
+
+    val, _ = quad(f, 0.0, t, points=points, epsabs=0.0, epsrel=1e-13,
+                  limit=500)
+    logc = gammaln(mass + 1) - gammaln(k + 1) - gammaln(mass - k + 1)
+    return float(logc + lg(0.0) + math.log(val))
+
+
+# The batched kernel is compared with the per-count reference with every
+# integral held to relative accuracy.  Under the default abs_tol, a
+# count whose shifted integral lies far below 1e-14 meets only an
+# absolute tolerance, and the per-count value then misses the
+# tight-tolerance one by up to 2e-5 nats (gamma 1.5, beta 1, mass 10,
+# t 60, k 0) while the batched pass, refined for the other counts too,
+# stays within 1e-13: the gap would measure the reference, not the kernel.
+REL_ONLY = QuadConfig(abs_tol=1e-300)
+NATS = 1e-8
+
+
+def _assert_nats(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    fin = np.isfinite(want)
+    assert np.all(np.abs(got[fin] - want[fin]) <= NATS)
+
+
+class TestBatchedCounts:
+    @pytest.mark.parametrize("mass", [10, 300, 1000])
+    @pytest.mark.parametrize("beta", [0.15, 1.0])
+    @pytest.mark.parametrize("eta", [1.0, 0.7])
+    @pytest.mark.parametrize("gamma", [0.5, 0.75, 1.5])
+    def test_matches_per_count_reference(self, gamma, eta, beta, mass):
+        p = SsbParams(alpha=-3.0, beta=beta, lam=4.0, gamma=gamma, eta=eta)
+        few = np.unique([0, 1, mass // 10, mass // 3, mass])
+        every = np.arange(mass + 1)
+        sampled = every[::max(1, mass // 30)]
+        for t in (1.0, 4.0, 16.0, 60.0):
+            ref = {int(k): _count_loglik_ref(p, mass, t, int(k), REL_ONLY)[0]
+                   for k in np.union1d(few, sampled)}
+            for k in few:
+                ll, _, _ = _counts_loglik(p, mass, t, [k], REL_ONLY)
+                _assert_nats(ll, [ref[int(k)]])
+            ll, _, _ = _counts_loglik(p, mass, t, few, REL_ONLY)
+            _assert_nats(ll, [ref[int(k)] for k in few])
+            ll, conv, _ = _counts_loglik(p, mass, t, every, REL_ONLY)
+            assert conv
+            _assert_nats(ll[sampled], [ref[int(k)] for k in sampled])
+
+    @pytest.mark.parametrize("ks", [[3], [0, 5, 40]])
+    def test_small_budget_reports_not_converged(self, theta0, ks):
+        tiny = QuadConfig(max_subdivisions=1)
+        _, conv, _ = _counts_loglik(theta0, 300, 6.0, ks, tiny)
+        assert not conv
+        _, conv, _ = _counts_loglik(theta0, 300, 6.0, ks, DEFAULT_QUAD)
+        assert conv
+
+    @pytest.mark.parametrize("k", [500, 501])
+    def test_peak_on_the_z_ceiling_against_quad(self, k):
+        # z_hi = alpha + beta t = 0 = logit(500/1000): the k = 500
+        # kernel peaks exactly on the ceiling, with zero log-slope there
+        p = SsbParams(alpha=-8.0, beta=2.0, lam=10.0, gamma=3.0, eta=1.0)
+        want = _quad_count_loglik(p, 1000, 4.0, k, (0.01, 0.03, 0.1, 0.3))
+        ll, conv, _ = _counts_loglik(p, 1000, 4.0, [k], DEFAULT_QUAD)
+        assert conv
+        assert abs(ll[0] - want) <= NATS
+        assert abs(ssb_count_loglik(p, 1000, 4.0, k) - want) <= NATS
+
+    def test_frozen_loglik_evaluates_each_time_on_its_anchor_mesh(
+            self, theta0, sim_dataset):
+        # far enough from theta0 that the anchor meshes lose digits
+        # there: re-adapting moves the value by 5.5e-7 nats, and
+        # per-count anchor meshes by 2e-9
+        mass = sim_dataset.mass
+        ll = frozen_dataset_loglik(theta0, sim_dataset)
+        moved = SsbParams(alpha=-2.5, beta=0.25, lam=5.0, gamma=1.2)
+        want = 0.0
+        for t, ks, mult in sim_dataset.grouped():
+            _, _, panels = _counts_loglik(theta0, mass, t, ks, DEFAULT_QUAD)
+            want += sum(m * _count_loglik_ref(moved, mass, t, int(k),
+                                              panels=panels)[0]
+                        for k, m in zip(ks, mult))
+        theta = np.array([moved.alpha, moved.beta, moved.lam, moved.gamma])
+        assert abs(ll(theta) - want) <= 1e-10
+
+
 class TestSsbDatasetLoglik:
     def test_empty_dataset(self, theta0):
         data = CountDataset(schedule=(2.0,), counts=((),), mass=10)
@@ -120,6 +254,30 @@ class TestMarginalCountPmf:
         pmf = marginal_count_pmf(theta0, 300, 6.0)
         assert pmf.converged
         assert abs(pmf.probs.sum() - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("gamma,t", [(1.5, 4.0), (0.75, 16.0)])
+    def test_default_matches_tight_tolerance(self, gamma, t):
+        # the two pmfs of the ensemble benchmark, against 1000x tighter
+        # rel_tol with 30x the subdivisions
+        p = SsbParams(alpha=-3.0, beta=0.15, lam=4.0, gamma=gamma)
+        tight = QuadConfig(rel_tol=1e-13, abs_tol=1e-300,
+                           max_subdivisions=2000)
+        got = marginal_count_pmf(p, 300, t).probs
+        want = marginal_count_pmf(p, 300, t, tight).probs
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_large_mass_memory(self, theta0):
+        # one pass over 3001 counts holds values per (panel, count) only
+        # for a group of panels at a time
+        tracemalloc.start()
+        try:
+            pmf = marginal_count_pmf(theta0, 3000, 4.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pmf.converged
+        assert abs(pmf.probs.sum() - 1.0) <= 1e-8
+        assert peak < 32 * 2 ** 20
 
     def test_point_mass_at_tiny_t(self, theta0):
         pmf = marginal_count_pmf(theta0, 20, 1e-9)

@@ -1,7 +1,9 @@
 """Deterministic integration kernels.
 
-Oracles: closed forms where the integral is elementary and an
-independent inverse-CDF Monte Carlo for the truncated-mean case.
+Oracles: closed forms where the integral is elementary, an independent
+inverse-CDF Monte Carlo for the truncated-mean case, and the recursive
+depth-first form of the adaptive rule (_adapt_ref) for the panels a
+scalar integrand is refined into.
 """
 
 import math
@@ -14,8 +16,67 @@ from masshist.errors import DomainError, ToleranceNotMet
 from masshist.quadrature import (DEFAULT_QUAD, QuadConfig, fixed_u_panels,
                                  integrate_weibull, weibull_cdf,
                                  weibull_logpdf, weibull_logsf, weibull_ppf)
+from masshist.quadrature import (_GL_W, _GL_X, _MAX_DEPTH, _initial_breaks,
+                                 _merge_breakpoints)
 
 ONE = lambda u: np.ones_like(u)
+
+
+def _adapt_ref(g, lam, gamma, t, cfg=DEFAULT_QUAD, breakpoints=None):
+    """The adaptive rule for a scalar integrand as one recursion per
+    initial panel, depth first, with one integrand call per panel:
+    returns (value, error, converged, panels) like integrate_weibull."""
+    vmax = min((t / lam) ** gamma, 800.0)
+
+    def phi(v):
+        return g(lam * v ** (1.0 / gamma)) * np.exp(-v)
+
+    def panel(a, b):
+        half = 0.5 * (b - a)
+        return half * float(np.dot(_GL_W, phi(a + half * (_GL_X + 1.0))))
+
+    state = {"budget": int(cfg.max_subdivisions), "err": 0.0,
+             "converged": True, "leaves": []}
+
+    def adapt(a, b, q1, tol, depth):
+        if state["budget"] <= 0 or depth > _MAX_DEPTH:
+            state["converged"] = False
+            state["err"] += tol
+            state["leaves"].append((a, b))
+            return q1
+        state["budget"] -= 1
+        m = 0.5 * (a + b)
+        left, right = panel(a, m), panel(m, b)
+        q2 = left + right
+        if abs(q2 - q1) <= max(tol, cfg.rel_tol * abs(q2)):
+            state["err"] += abs(q2 - q1)
+            state["leaves"] += [(a, m), (m, b)]
+            return q2
+        return (adapt(a, m, left, 0.5 * tol, depth + 1)
+                + adapt(m, b, right, 0.5 * tol, depth + 1))
+
+    breaks = _initial_breaks(vmax)
+    if breakpoints is not None:
+        breaks = _merge_breakpoints(breaks, breakpoints, lam, gamma, vmax)
+    first = [panel(a, b) for a, b in zip(breaks, breaks[1:])]
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(sum(first))) / len(first)
+    value = sum(adapt(a, b, q1, tol, 0)
+                for (a, b), q1 in zip(zip(breaks, breaks[1:]), first))
+    panels = tuple((a / vmax, b / vmax) for a, b in state["leaves"])
+    return value, state["err"], state["converged"], panels
+
+
+# (integrand, lam, gamma, t, breakpoints): smooth, logistic, a narrow
+# spike with and without its location, and a heavy tail at gamma 0.5
+SCALAR_CASES = [
+    (lambda u: np.sin(u), 4.0, 1.0, 6.0, None),
+    (lambda u: expit(-3.0 + 0.5 * (6.0 - u)), 4.0, 0.8, 12.0, None),
+    (lambda u: np.exp(-(((u - 2.3) / 1e-2) ** 2)), 4.0, 1.5, 6.0, None),
+    (lambda u: np.exp(-(((u - 2.3) / 1e-2) ** 2)), 4.0, 1.5, 6.0,
+     (2.25, 2.3, 2.35)),
+    (lambda u: u, 1.0, 0.5, 50.0, None),
+    (lambda u: 1.0 / (1.0 + u), 10.0, 1.0, 40.0, None),
+]
 
 
 class TestWeibullHelpers:
@@ -146,6 +207,81 @@ class TestIntegrateWeibull:
         g = lambda u: np.cos(50.0 * u ** 2)
         res = integrate_weibull(g, 1.0, 1.0, 30.0, config=cfg)
         assert not res.converged
+        with pytest.raises(ToleranceNotMet):
+            integrate_weibull(g, 1.0, 1.0, 30.0, config=cfg, strict=True)
+
+    @pytest.mark.parametrize("case", range(len(SCALAR_CASES)))
+    def test_panels_match_depth_first_refinement(self, case):
+        # breadth-first levels accept the same panels as the recursion
+        g, lam, gamma, t, bp = SCALAR_CASES[case]
+        value, err, conv, panels = _adapt_ref(g, lam, gamma, t,
+                                              breakpoints=bp)
+        res = integrate_weibull(g, lam, gamma, t, breakpoints=bp)
+        assert conv and res.converged
+        assert res.panels == panels
+        assert isinstance(res.value, float) and isinstance(res.error, float)
+        assert res.value == pytest.approx(value, rel=1e-14)
+        assert res.error == pytest.approx(err, rel=1e-12, abs=1e-30)
+
+
+def _stacked(gs):
+    return lambda u: np.stack([g(u) for g in gs], axis=1)
+
+
+class TestVectorIntegrand:
+    GS = [ONE, lambda u: u, lambda u: np.sin(u),
+          lambda u: np.exp(-(((u - 2.3) / 1e-2) ** 2)),
+          lambda u: expit(-3.0 + 0.5 * (6.0 - u))]
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.5])
+    def test_components_match_scalar_integrals(self, gamma):
+        res = integrate_weibull(_stacked(self.GS), 4.0, gamma, 6.0,
+                                breakpoints=(2.25, 2.3, 2.35))
+        assert res.converged
+        assert res.value.shape == res.error.shape == (len(self.GS),)
+        for j, g in enumerate(self.GS):
+            want = integrate_weibull(g, 4.0, gamma, 6.0,
+                                     breakpoints=(2.25, 2.3, 2.35)).value
+            assert res.value[j] == pytest.approx(want, rel=1e-12)
+
+    def test_one_component_is_the_scalar_integral(self):
+        for g, lam, gamma, t, bp in SCALAR_CASES:
+            scalar = integrate_weibull(g, lam, gamma, t, breakpoints=bp)
+            vec = integrate_weibull(lambda u: g(u)[:, None], lam, gamma, t,
+                                    breakpoints=bp)
+            assert vec.value.shape == (1,)
+            assert vec.value[0] == scalar.value
+            assert vec.panels == scalar.panels
+
+    def test_every_component_must_pass(self):
+        # the spike alone needs far more panels than the constant; a
+        # mesh accepted on the first component only would miss it
+        both = integrate_weibull(_stacked([ONE, self.GS[3]]), 4.0, 1.5, 6.0)
+        spike = integrate_weibull(self.GS[3], 4.0, 1.5, 6.0)
+        assert both.converged
+        assert both.value[1] == pytest.approx(spike.value, rel=1e-12)
+        assert len(both.panels) >= len(spike.panels)
+
+    def test_frozen_panels_reproduce_vector_value(self):
+        g = _stacked(self.GS)
+        adaptive = integrate_weibull(g, 4.0, 0.75, 16.0)
+        frozen = integrate_weibull(g, 4.0, 0.75, 16.0,
+                                   panels=adaptive.panels)
+        assert frozen.converged and frozen.value.shape == (len(self.GS),)
+        assert np.allclose(frozen.value, adaptive.value, rtol=1e-12,
+                           atol=0.0)
+
+    def test_nonpositive_t_gives_zero_vector(self):
+        res = integrate_weibull(_stacked(self.GS), 4.0, 1.5, 0.0)
+        assert res.converged and np.array_equal(res.value,
+                                                np.zeros(len(self.GS)))
+
+    def test_budget_exhaustion_flags_and_strict_raises(self):
+        cfg = QuadConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=2)
+        g = _stacked([ONE, lambda u: np.cos(50.0 * u ** 2)])
+        res = integrate_weibull(g, 1.0, 1.0, 30.0, config=cfg)
+        assert not res.converged
+        assert res.value.shape == (2,)
         with pytest.raises(ToleranceNotMet):
             integrate_weibull(g, 1.0, 1.0, 30.0, config=cfg, strict=True)
 
