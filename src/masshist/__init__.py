@@ -12,8 +12,7 @@ from .core import (CountDataset, FitResult, ModelKind, ReParams, SsbParams,
                    write_count_csv)
 from .errors import (CsvFormatError, DomainError, GridMismatch,
                      InsufficientTimes, MassHistError, MissingBaseline,
-                     NoFiniteMle, NonMonotoneProfile, NotConverged,
-                     NotSymmetric, RejectionBudgetExceeded,
+                     NoFiniteMle, NotSymmetric, RejectionBudgetExceeded,
                      SingularInformation, SizeMismatch, ToleranceNotMet)
 from .estimation import (FitConfig, GridAxis, GridRefineResult, GridSpec,
                          bic_delta, current_status_loglik,

@@ -2,8 +2,8 @@
 
 Everything derives from MassHistError so callers can catch the library's
 failures in one clause.  Input problems (bad parameter values, malformed
-files) are kept distinct from numerical failures (non-monotone profile,
-singular information) because the command line maps them to different
+files) are kept distinct from numerical failures (singular information,
+an unmet quadrature tolerance) because the command line maps them to different
 exit codes.
 """
 
@@ -31,12 +31,6 @@ class InsufficientTimes(MassHistError):
 class NoFiniteMle(MassHistError):
     """The step-function likelihood has no interior maximum (all counts
     zero, or none zero)."""
-
-
-class NonMonotoneProfile(MassHistError):
-    """The profiled likelihood decreased between refinement stages, which
-    the guarded candidate sets should make impossible; indicates an
-    inconsistent objective."""
 
 
 class SingularInformation(MassHistError):
@@ -69,8 +63,3 @@ class NotSymmetric(MassHistError):
 class RejectionBudgetExceeded(MassHistError):
     """Rejection sampler failed to produce an admissible draw within its
     attempt budget."""
-
-
-class NotConverged(MassHistError):
-    """An iterative fit stopped on its iteration cap rather than its
-    tolerance.  Usually reported as a flag, raised only in strict mode."""

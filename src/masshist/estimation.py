@@ -1,24 +1,27 @@
 """Fitting the five count models.
 
-The shared-lead-time models are estimated by the profiled grid scheme:
+The shared-lead-time models are estimated in two grid stages and a
+polish:
 
   stage 1  initial_weibull_estimate: a current-status fit of the lead
            time alone, using only whether each count is zero;
   stage 2  grid_search_logistic: refine-and-shrink grid maximization of
            the full likelihood over (alpha, beta[, eta]) with the lead
-           time frozen;
-  stage 3  profile_iterate: alternate stage-2 sweeps with grid sweeps
-           over (lambda, gamma) until the requested number of rounds.
+           time frozen at the stage-1 values;
+  polish   profile_iterate: Nelder-Mead over all parameters at once,
+           started from the stage-2 point.
 
-Grid stages and the Nelder-Mead polish evaluate the likelihood with one
-kernel, _mesh_loglik: a fixed composite Gauss-Legendre mesh in u (one
-mesh per observation time, reused for every parameter combination),
-evaluated over a whole batch of parameter points with every count of an
-observation time in the same array passes.  A full (alpha, beta) grid
-is then a few hundred cache-sized blocks of array passes instead of
-thousands of adaptive integrations.  Every refinement keeps the
-incumbent in its candidate set, so the reported likelihood trace is
-nondecreasing by construction; the final quoted log-likelihood is
+A zero count nearly pins down "the lead time has not elapsed yet", so
+stage 1 lands (lambda, gamma) close to the joint optimum and the polish
+reaches it from there.  The grid stage and the polish evaluate the
+likelihood with one kernel, _mesh_loglik: a fixed composite
+Gauss-Legendre mesh in u (one mesh per observation time, reused for
+every parameter combination), evaluated over a whole batch of parameter
+points with every count of an observation time in the same array
+passes.  A full (alpha, beta) grid is then a few hundred cache-sized
+blocks of array passes instead of thousands of adaptive integrations.
+The polish replaces the grid point only on a strict improvement, so the
+likelihood trace is nondecreasing; the final quoted log-likelihood is
 recomputed with the adaptive rule.
 
 The logistic families (plain, extended, random effects) are smooth
@@ -39,9 +42,9 @@ from scipy.special import expit, logit
 
 from .core import CountDataset, FitResult, ModelKind, ReParams, SsbParams
 from .errors import (DomainError, InsufficientTimes, MissingBaseline,
-                     NoFiniteMle, NonMonotoneProfile, SingularInformation)
-from .likelihood import (_log_binom_coef, _log_failure, _log_success,
-                         frozen_dataset_loglik, lrm_loglik, re_loglik,
+                     NoFiniteMle, SingularInformation)
+from .likelihood import (_log_binom_coef, frozen_dataset_loglik,
+                         lrm_count_logpmf, lrm_loglik, re_loglik,
                          ssb_dataset_loglik)
 from .quadrature import DEFAULT_QUAD, QuadConfig, fixed_u_panels
 
@@ -68,13 +71,20 @@ __all__ = [
 MODEL_ORDER = (ModelKind.LRM, ModelKind.LRM_PLUS, ModelKind.LRM_RE,
                ModelKind.SSB, ModelKind.SSB_PLUS)
 
-# global caps for the walking (lambda, gamma) profile boxes, as factors
-# of the observation times
+# bounds on (lambda, gamma) in the polish; lambda's as factors of the
+# observation times
 _LAM_LO_FACTOR = 0.05
 _LAM_HI_FACTOR = 10.0
 _GAMMA_LO = 0.05
 _GAMMA_HI = 20.0
-_MAX_WALKS = 8
+
+# panel width of the fixed u-mesh behind the grid stage and the polish:
+# the search only needs ranking accuracy, and the final adaptive
+# evaluation restores full precision afterwards
+_ENGINE_SPACING = 1.0
+
+# iteration cap of every Nelder-Mead run
+_NM_MAXITER = 2000
 
 # tanh saturates to exactly +-1.0 in doubles once |x| exceeds ~19, which
 # would step outside rho's open interval; cap the reported correlation
@@ -124,8 +134,8 @@ class GridAxis:
 @dataclass(frozen=True)
 class GridSpec:
     """A refine-and-shrink search: scan the axes, then refine_levels
-    times shrink each free axis about the incumbent by `shrink` and
-    rescan (boxes are shifted to stay inside the original bounds)."""
+    times shrink each free axis about the best point so far by `shrink`
+    and rescan (boxes are shifted to stay inside the original bounds)."""
 
     axes: tuple[GridAxis, ...]
     refine_levels: int = 3
@@ -175,23 +185,19 @@ def _near(x: float, y: float) -> bool:
     return abs(x - y) <= 1e-9 * (abs(x) + abs(y) + 1e-12)
 
 
-def grid_refine_max(f: Callable[..., np.ndarray], spec: GridSpec,
-                    incumbent: Optional[tuple[tuple[float, ...], float]] = None
-                    ) -> GridRefineResult:
+def grid_refine_max(f: Callable[..., np.ndarray],
+                    spec: GridSpec) -> GridRefineResult:
     """Maximize f over the grid with shrinking refinement.
 
     f takes one 1-D array per axis and returns the objective on their
     cartesian product, shape (n_1, ..., n_d) in axis order.  Ties go to
     the first point in C scan order (earlier axes more significant,
-    values ascending).  An optional incumbent (point, value) joins the
-    candidate set: a grid point replaces it only when strictly better,
-    so the returned value never decreases below the incumbent's.
+    values ascending).  A refined scan replaces the best point so far
+    only when strictly better, so the value never decreases by level.
     """
     axes = list(spec.axes)
     inc_pt: Optional[tuple[float, ...]] = None
     inc_val = -math.inf
-    if incumbent is not None:
-        inc_pt, inc_val = tuple(map(float, incumbent[0])), float(incumbent[1])
     levels: list[dict] = []
     for level in range(spec.refine_levels + 1):
         vals = [ax.values() for ax in axes]
@@ -224,14 +230,14 @@ def grid_refine_max(f: Callable[..., np.ndarray], spec: GridSpec,
 
 class _DatasetTables:
     """Per-time quadrature nodes and collapsed count multiplicities,
-    shared by every grid sweep over one dataset."""
+    shared by the grid stage and the polish over one dataset."""
 
-    def __init__(self, data: CountDataset, spacing: float = 0.5):
+    def __init__(self, data: CountDataset):
         self.mass = data.mass
         self.n_obs = data.n_obs
         self.entries = []
         for t, ks, mult in data.grouped():
-            u, w = fixed_u_panels(t, spacing)
+            u, w = fixed_u_panels(t, _ENGINE_SPACING)
             ks = ks.astype(float)
             self.entries.append({
                 "t": float(t),
@@ -290,8 +296,8 @@ def _mesh_loglik(tables: _DatasetTables, alpha, beta, lam, gamma,
     over eta inside; all counts of the time then share each array pass,
     taken over blocks of (points x counts x nodes) of at most _BLOCK
     elements (or one node row, if that is longer).  This one kernel
-    serves the logistic sweep, the lead-time sweep and the single-point
-    polish, so their values are directly comparable across stages.
+    serves the logistic sweep and the single-point polish, so their
+    values are directly comparable.
     """
     alpha, beta, lam, gamma = (np.asarray(v, dtype=float)[..., None]
                                for v in (alpha, beta, lam, gamma))
@@ -417,186 +423,101 @@ def default_logistic_grid(model: ModelKind) -> GridSpec:
 
 def grid_search_logistic(data: CountDataset, lam: float, gamma: float,
                          model: ModelKind = ModelKind.SSB,
-                         grid: Optional[GridSpec] = None,
-                         tables: Optional[_DatasetTables] = None,
-                         incumbent: Optional[tuple[tuple, float]] = None
+                         tables: Optional[_DatasetTables] = None
                          ) -> GridRefineResult:
-    """Maximize the full likelihood over (alpha, beta) -- and eta for
-    the extended model -- with (lambda, gamma) held fixed.  The result's
-    on_boundary flag reports an incumbent pinned to the original box."""
+    """Maximize the full likelihood over default_logistic_grid(model)'s
+    (alpha, beta) -- and eta for the extended model -- with (lambda,
+    gamma) held fixed.  The result's on_boundary flag reports a maximum
+    pinned to the original box."""
     model = ModelKind(model)
     if model not in (ModelKind.SSB, ModelKind.SSB_PLUS):
         raise DomainError("grid_search_logistic fits the shared-lead-time "
                           "models; use fit_model for the logistic families")
     tab = tables if tables is not None else _DatasetTables(data)
-    spec = grid or default_logistic_grid(model)
-    with_eta = len(spec.axes) == 3
+    with_eta = model is ModelKind.SSB_PLUS
 
     def f(alphas, betas, etas=(1.0,)):
         out = _mesh_loglik(tab, alphas[:, None], betas[None, :], lam, gamma,
                            etas)
         return out if with_eta else out[:, :, 0]
 
-    return grid_refine_max(f, spec, incumbent=incumbent)
+    return grid_refine_max(f, default_logistic_grid(model))
 
 
 # ---------------------------------------------------------------------------
-# stage 3: alternating profile
+# polish and final evaluation
 
 
 @dataclass
 class FitConfig:
-    """Knobs shared by all fitting paths.
-
-    engine_spacing is the panel width of the fixed u-mesh that the
-    fixed-mesh kernel (_mesh_loglik) uses for every grid sweep and for
-    the Nelder-Mead polish; the search only needs ranking accuracy, and
-    the final adaptive evaluation restores full precision afterwards.
-    """
+    """Knobs shared by all fitting paths: the adaptive quadrature of
+    the quoted log-likelihoods, whether to compute standard errors, and
+    whether the random-effects logistic fits eta.  The fixed-mesh
+    engine's spacing and the Nelder-Mead iteration cap are constants."""
 
     quad: QuadConfig = DEFAULT_QUAD
-    logistic_grid: Optional[GridSpec] = None
-    n_outer: int = 2
-    engine_spacing: float = 1.0
     compute_se: bool = True
-    nm_maxiter: int = 2000
-    polish: bool = True
     re_free_eta: bool = False
 
 
-def _lead_time_box(lam: float, gamma: float, t_min: float,
-                   t_max: float) -> GridSpec:
-    lam_lo_cap = _LAM_LO_FACTOR * t_min
-    lam_hi_cap = _LAM_HI_FACTOR * t_max
-    lam = min(max(lam, lam_lo_cap), lam_hi_cap)
-    gamma = min(max(gamma, _GAMMA_LO), _GAMMA_HI)
-    return GridSpec(axes=(
-        GridAxis("lambda", max(lam / 3.0, lam_lo_cap),
-                 min(lam * 3.0, lam_hi_cap), 15, log=True),
-        GridAxis("gamma", max(gamma / 3.0, _GAMMA_LO),
-                 min(gamma * 3.0, _GAMMA_HI), 15, log=True),
-    ))
-
-
-def _lead_time_stage(tables: _DatasetTables, data: CountDataset,
-                     alpha: float, beta: float, eta: float,
-                     lam: float, gamma: float, value: float,
-                     trace: list) -> tuple[float, float, float]:
-    """One profile sweep over (lambda, gamma), re-centering the search
-    box when the maximum lands on its edge (up to _MAX_WALKS times) so a
-    distant lead-time optimum can still be reached from a poor start."""
-    t_obs = [e["t"] for e in tables.entries]
-    t_min, t_max = min(t_obs), max(t_obs)
-
-    def f(lams, gammas):
-        return _mesh_loglik(tables, alpha, beta, lams[:, None],
-                            gammas[None, :], (eta,))[:, :, 0]
-
-    for walk in range(_MAX_WALKS):
-        spec = _lead_time_box(lam, gamma, t_min, t_max)
-        res = grid_refine_max(f, spec, incumbent=((lam, gamma), value))
-        new_lam, new_gamma = res.point
-        moved = not (_near(new_lam, lam) and _near(new_gamma, gamma))
-        lam, gamma, value = new_lam, new_gamma, res.value
-        trace.append({"stage": "lead_time", "walk": walk, "value": value,
-                      "lambda": lam, "gamma": gamma})
-        at_cap = (_near(lam, _LAM_LO_FACTOR * t_min)
-                  or _near(lam, _LAM_HI_FACTOR * t_max)
-                  or _near(gamma, _GAMMA_LO) or _near(gamma, _GAMMA_HI))
-        if not res.on_boundary or at_cap or not moved:
-            break
-    return lam, gamma, value
-
-
 def profile_iterate(data: CountDataset, lam0: float, gamma0: float,
-                    model: ModelKind = ModelKind.SSB, n_outer: int = 2,
-                    logistic_grid: Optional[GridSpec] = None,
+                    model: ModelKind = ModelKind.SSB,
                     config: Optional[FitConfig] = None) -> FitResult:
-    """Alternating profile maximization for the shared-lead-time models.
+    """Fit a shared-lead-time model from a current-status start.
 
-    Starts with a logistic grid search at (lam0, gamma0), then runs
-    n_outer rounds of [lead-time sweep, logistic sweep]; n_outer = 0
-    returns the stage-1/stage-2 composite untouched.  Every sweep keeps
-    the previous point in its candidate set, so the internal trace is
-    nondecreasing; a decrease beyond 1e-6 raises NonMonotoneProfile.
-    The quoted loglik is recomputed with adaptive quadrature at the end.
+    Runs the logistic grid search at (lam0, gamma0), then a Nelder-Mead
+    polish over all parameters on the same fixed mesh, which replaces
+    the grid point only on a strict improvement; the quoted loglik is
+    recomputed with adaptive quadrature at the end.  converged is False
+    when the grid maximum sits on its box and the polish did not move
+    it, or when the accepted polish stopped on its iteration cap.
     """
     model = ModelKind(model)
     cfg = config or FitConfig()
-    tables = _DatasetTables(data, cfg.engine_spacing)
-    grid = logistic_grid or cfg.logistic_grid or default_logistic_grid(model)
-    with_eta = len(grid.axes) == 3
+    tables = _DatasetTables(data)
+    with_eta = model is ModelKind.SSB_PLUS
 
-    trace: list[dict] = []
-    lres = grid_search_logistic(data, lam0, gamma0, model, grid=grid,
-                                tables=tables)
+    lres = grid_search_logistic(data, lam0, gamma0, model, tables=tables)
     alpha, beta = lres.point[0], lres.point[1]
     eta = lres.point[2] if with_eta else 1.0
-    value = lres.value
     lam, gamma = float(lam0), float(gamma0)
+    value = lres.value
     on_box = lres.on_boundary
-    trace.append({"stage": "logistic", "round": 0, "value": value,
-                  "alpha": alpha, "beta": beta, "eta": eta})
+    trace: list[dict] = [{"stage": "logistic", "value": value,
+                          "alpha": alpha, "beta": beta, "eta": eta}]
 
-    prev = value
-    for r in range(int(n_outer)):
-        lam, gamma, value = _lead_time_stage(
-            tables, data, alpha, beta, eta, lam, gamma, value, trace)
-        if value < prev - 1e-6:
-            raise NonMonotoneProfile(
-                f"profile decreased from {prev} to {value}")
-        prev = value
-        inc = ((alpha, beta, eta) if with_eta else (alpha, beta), value)
-        lres = grid_search_logistic(data, lam, gamma, model, grid=grid,
-                                    tables=tables, incumbent=inc)
-        alpha, beta = lres.point[0], lres.point[1]
-        eta = lres.point[2] if with_eta else 1.0
-        value = lres.value
-        on_box = lres.on_boundary
-        trace.append({"stage": "logistic", "round": r + 1, "value": value,
-                      "alpha": alpha, "beta": beta, "eta": eta})
-        if value < prev - 1e-6:
-            raise NonMonotoneProfile(
-                f"profile decreased from {prev} to {value}")
-        prev = value
+    t_obs = [e["t"] for e in tables.entries]
+    lam_lo = _LAM_LO_FACTOR * min(t_obs)
+    lam_hi = _LAM_HI_FACTOR * max(t_obs)
+    free_eta = with_eta and eta < 1.0 - 1e-9
 
-    if cfg.polish:
-        t_obs = [e["t"] for e in tables.entries]
-        lam_lo = _LAM_LO_FACTOR * min(t_obs)
-        lam_hi = _LAM_HI_FACTOR * max(t_obs)
-        free_eta = with_eta and eta < 1.0 - 1e-9
+    def unpack(x):
+        et = float(expit(x[4])) if free_eta else eta
+        return (float(x[0]), float(np.exp(x[1])), float(np.exp(x[2])),
+                float(np.exp(x[3])), et)
 
-        def unpack(x):
-            et = float(expit(x[4])) if free_eta else (eta if with_eta else 1.0)
-            return (float(x[0]), float(np.exp(x[1])), float(np.exp(x[2])),
-                    float(np.exp(x[3])), et)
+    def nll(x):
+        a, b, la, ga, et = unpack(x)
+        if not (lam_lo <= la <= lam_hi and _GAMMA_LO <= ga <= _GAMMA_HI):
+            return np.inf
+        return -float(_mesh_loglik(tables, a, b, la, ga, (et,))[0])
 
-        def nll(x):
-            a, b, la, ga, et = unpack(x)
-            if not (lam_lo <= la <= lam_hi and _GAMMA_LO <= ga <= _GAMMA_HI):
-                return np.inf
-            return -float(_mesh_loglik(tables, a, b, la, ga, (et,))[0])
+    x0 = [alpha, math.log(beta), math.log(lam), math.log(gamma)]
+    if free_eta:
+        x0.append(float(logit(eta)))
+    res = _nelder_mead(nll, np.asarray(x0))
+    cand = -float(res.fun)
+    if math.isfinite(cand) and cand > value:
+        alpha, beta, lam, gamma, eta = unpack(res.x)
+        value = cand
+        on_box = not bool(res.success)
+    trace.append({"stage": "polish", "value": value})
 
-        x0 = [alpha, math.log(beta), math.log(lam), math.log(gamma)]
-        if free_eta:
-            x0.append(float(logit(eta)))
-        res = _nelder_mead(nll, np.asarray(x0), cfg.nm_maxiter)
-        cand = -float(res.fun)
-        if math.isfinite(cand) and cand > value:
-            alpha, beta, lam, gamma, eta = unpack(res.x)
-            value = cand
-            on_box = not bool(res.success)
-        trace.append({"stage": "polish", "value": value})
-        if value < prev - 1e-6:
-            raise NonMonotoneProfile(
-                f"profile decreased from {prev} to {value}")
-
-    params = SsbParams(alpha=alpha, beta=beta, lam=lam, gamma=gamma,
-                       eta=eta if with_eta else 1.0)
+    params = SsbParams(alpha=alpha, beta=beta, lam=lam, gamma=gamma, eta=eta)
     final_ll = ssb_dataset_loglik(params, data, cfg.quad)
     trace.append({"stage": "final", "value": final_ll})
     estimates = {"alpha": alpha, "beta": beta, "lambda": lam, "gamma": gamma}
-    if model is ModelKind.SSB_PLUS:
+    if with_eta:
         estimates["eta"] = eta
     return FitResult(model=model, estimates=estimates, loglik=final_ll,
                      n_params=model.n_params, converged=not on_box,
@@ -660,15 +581,41 @@ def std_errors_from_information(info: np.ndarray) -> np.ndarray:
     return np.sqrt(d)
 
 
+def _attach_se(result: FitResult, loglik: Callable[[np.ndarray], float],
+               names: Sequence[str], caps: dict[str, float]) -> None:
+    """Observed information and standard errors at result's estimates.
+
+    loglik takes the named parameters, in natural units and in order.
+    Each step is cbrt(eps) * (1 + |theta|), cut to the name's cap in
+    caps (uncapped when absent).  Singular information leaves
+    std_errors None with a warning; an eta estimate not among names
+    sits at its boundary and gets a None standard error.
+    """
+    est = result.estimates
+    theta = np.array([est[n] for n in names])
+    steps = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(theta))
+    steps = np.array([min(h, caps.get(n, math.inf))
+                      for h, n in zip(steps, names)])
+    result.info = observed_information(loglik, theta, steps)
+    try:
+        se = std_errors_from_information(result.info)
+    except SingularInformation:
+        log.warning("standard errors unavailable: singular information")
+        result.std_errors = None
+        return
+    result.std_errors = dict(zip(names, se.tolist()))
+    if "eta" in est and "eta" not in names:
+        result.std_errors["eta"] = None
+
+
 # ---------------------------------------------------------------------------
 # model-specific fitting paths
 
 
-def _nelder_mead(obj, x0: np.ndarray, maxiter: int):
-    res = minimize(obj, np.asarray(x0, dtype=float), method="Nelder-Mead",
-                   options={"maxiter": int(maxiter), "xatol": 1e-6,
-                            "fatol": 1e-9})
-    return res
+def _nelder_mead(obj, x0: np.ndarray):
+    return minimize(obj, np.asarray(x0, dtype=float), method="Nelder-Mead",
+                    options={"maxiter": _NM_MAXITER, "xatol": 1e-6,
+                             "fatol": 1e-9})
 
 
 def _lrm_grid_scan(data: CountDataset, etas: np.ndarray) -> tuple:
@@ -676,21 +623,12 @@ def _lrm_grid_scan(data: CountDataset, etas: np.ndarray) -> tuple:
     (alpha, beta, eta)."""
     alphas = np.linspace(-15.0, 5.0, 41)
     betas = np.geomspace(1e-3, 5.0, 41)
-    mass = data.mass
     best = (-math.inf, None)
-    z_parts = [(t, ks, mult,
-                alphas[:, None] + betas[None, :] * t) for t, ks, mult in data.grouped()]
     for eta in etas:
-        acc = np.zeros((41, 41))
-        for t, ks, mult, z in z_parts:
-            ls = _log_success(z, eta)
-            lf = _log_failure(z, eta)
-            for k, m in zip(ks, mult):
-                k = int(k)
-                term = (mass - k) * lf + _log_binom_coef(mass, k)
-                if k > 0:
-                    term = term + k * ls
-                acc += m * term
+        acc = sum(lrm_count_logpmf(alphas[:, None, None],
+                                   betas[None, :, None], float(eta),
+                                   data.mass, t, ks) @ mult
+                  for t, ks, mult in data.grouped())
         idx = np.unravel_index(int(np.argmax(acc)), acc.shape)
         if float(acc[idx]) > best[0]:
             best = (float(acc[idx]),
@@ -717,7 +655,7 @@ def _fit_lrm(data: CountDataset, cfg: FitConfig,
 
     best = None
     for x0 in starts:
-        r = _nelder_mead(obj, x0, cfg.nm_maxiter)
+        r = _nelder_mead(obj, x0)
         if best is None or r.fun < best.fun:
             best = r
     ok = bool(best.success)
@@ -744,41 +682,21 @@ def _fit_lrm(data: CountDataset, cfg: FitConfig,
                        trace=[{"stage": "simplex", "value": ll,
                                "boundary_eta": boundary_eta}])
     if cfg.compute_se:
-        _attach_se_lrm(result, data, boundary_eta)
+        fit_eta = free_eta and not boundary_eta
+        caps = {"beta": 0.25 * beta}
+        if fit_eta:
+            caps["eta"] = 0.25 * min(eta, 1.0 - eta)
+
+        def nat_ll(th):
+            try:
+                return lrm_loglik(th[0], th[1], data,
+                                  th[2] if fit_eta else eta)
+            except DomainError:
+                return -np.inf
+
+        names = ["alpha", "beta"] + (["eta"] if fit_eta else [])
+        _attach_se(result, nat_ll, names, caps)
     return result
-
-
-def _attach_se_lrm(result: FitResult, data: CountDataset,
-                   boundary_eta: bool) -> None:
-    est = result.estimates
-    names = ["alpha", "beta"]
-    free_eta = "eta" in est and not boundary_eta
-    if free_eta:
-        names.append("eta")
-
-    def ll(th):
-        try:
-            return lrm_loglik(th[0], th[1], data,
-                              th[2] if free_eta else est.get("eta", 1.0))
-        except DomainError:
-            return -np.inf
-
-    theta = np.array([est[n] for n in names])
-    steps = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(theta))
-    steps[1] = min(steps[1], 0.25 * est["beta"])
-    if free_eta:
-        steps[2] = min(steps[2], 0.25 * min(est["eta"], 1.0 - est["eta"]))
-    info = observed_information(ll, theta, steps)
-    result.info = info
-    try:
-        se = std_errors_from_information(info)
-        result.std_errors = dict(zip(names, se.tolist()))
-    except SingularInformation:
-        log.warning("standard errors unavailable: singular information")
-        result.std_errors = None
-        return
-    if "eta" in est and boundary_eta:
-        result.std_errors["eta"] = None
 
 
 def _fit_re(data: CountDataset, cfg: FitConfig) -> FitResult:
@@ -806,7 +724,7 @@ def _fit_re(data: CountDataset, cfg: FitConfig) -> FitResult:
 
     best = None
     for x0 in starts:
-        r = _nelder_mead(obj, x0, cfg.nm_maxiter)
+        r = _nelder_mead(obj, x0)
         if best is None or r.fun < best.fun:
             best = r
     ok = bool(best.success)
@@ -834,53 +752,13 @@ def _fit_re(data: CountDataset, cfg: FitConfig) -> FitResult:
                 return -np.inf
             return re_loglik(p, data, cfg.quad)
 
-        theta = np.array([estimates[n] for n in names])
-        steps = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(theta))
-        steps[2] = min(steps[2], 0.25 * (1.0 - abs(params.rho)))
-        steps[3] = min(steps[3], 0.25 * params.sigma1)
-        steps[4] = min(steps[4], 0.25 * params.sigma2)
+        caps = {"rho": 0.25 * (1.0 - abs(params.rho)),
+                "sigma1": 0.25 * params.sigma1,
+                "sigma2": 0.25 * params.sigma2}
         if free_eta:
-            steps[5] = min(steps[5],
-                           0.25 * min(params.eta, 1.0 - params.eta) + 1e-12)
-        info = observed_information(nat_ll, theta, steps)
-        result.info = info
-        try:
-            se = std_errors_from_information(info)
-            result.std_errors = dict(zip(names, se.tolist()))
-        except SingularInformation:
-            log.warning("standard errors unavailable: singular information")
-            result.std_errors = None
+            caps["eta"] = 0.25 * min(params.eta, 1.0 - params.eta) + 1e-12
+        _attach_se(result, nat_ll, names, caps)
     return result
-
-
-def _attach_se_ssb(result: FitResult, data: CountDataset,
-                   cfg: FitConfig) -> None:
-    est = result.estimates
-    eta = est.get("eta", 1.0)
-    boundary_eta = "eta" in est and (eta >= 1.0 - 1e-9 or eta <= 1e-9)
-    free_eta = "eta" in est and not boundary_eta
-    params = SsbParams(alpha=est["alpha"], beta=est["beta"],
-                       lam=est["lambda"], gamma=est["gamma"], eta=eta)
-    names = ["alpha", "beta", "lambda", "gamma"] + (["eta"] if free_eta else [])
-    ll = frozen_dataset_loglik(params, data, cfg.quad, free_eta=free_eta)
-    theta = np.array([est[n] for n in names])
-    steps = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(theta))
-    steps[1] = min(steps[1], 0.25 * est["beta"])
-    steps[2] = min(steps[2], 0.25 * est["lambda"])
-    steps[3] = min(steps[3], 0.25 * est["gamma"])
-    if free_eta:
-        steps[4] = min(steps[4], 0.25 * min(eta, 1.0 - eta) + 1e-12)
-    info = observed_information(ll, theta, steps)
-    result.info = info
-    try:
-        se = std_errors_from_information(info)
-        result.std_errors = dict(zip(names, se.tolist()))
-    except SingularInformation:
-        log.warning("standard errors unavailable: singular information")
-        result.std_errors = None
-        return
-    if "eta" in est and boundary_eta:
-        result.std_errors["eta"] = None
 
 
 def fit_model(data: CountDataset, model: ModelKind,
@@ -900,12 +778,12 @@ def fit_model(data: CountDataset, model: ModelKind,
     lam0, gamma0 = initial_weibull_estimate(data)
     if model is ModelKind.SSB:
         result = profile_iterate(data, lam0, gamma0, ModelKind.SSB,
-                                 n_outer=cfg.n_outer, config=cfg)
+                                 config=cfg)
     else:
         free = profile_iterate(data, lam0, gamma0, ModelKind.SSB_PLUS,
-                               n_outer=cfg.n_outer, config=cfg)
+                               config=cfg)
         restricted = profile_iterate(data, lam0, gamma0, ModelKind.SSB,
-                                     n_outer=cfg.n_outer, config=cfg)
+                                     config=cfg)
         # the extended model nests eta = 1: never report a free fit that
         # the boundary beats
         if restricted.loglik >= free.loglik:
@@ -921,7 +799,19 @@ def fit_model(data: CountDataset, model: ModelKind,
         else:
             result = free
     if cfg.compute_se:
-        _attach_se_ssb(result, data, cfg)
+        est = result.estimates
+        eta = est.get("eta", 1.0)
+        free_eta = "eta" in est and 1e-9 < eta < 1.0 - 1e-9
+        params = SsbParams(alpha=est["alpha"], beta=est["beta"],
+                           lam=est["lambda"], gamma=est["gamma"], eta=eta)
+        caps = {"beta": 0.25 * est["beta"], "lambda": 0.25 * est["lambda"],
+                "gamma": 0.25 * est["gamma"]}
+        if free_eta:
+            caps["eta"] = 0.25 * min(eta, 1.0 - eta) + 1e-12
+        names = (["alpha", "beta", "lambda", "gamma"]
+                 + (["eta"] if free_eta else []))
+        ll = frozen_dataset_loglik(params, data, cfg.quad, free_eta=free_eta)
+        _attach_se(result, ll, names, caps)
     return result
 
 

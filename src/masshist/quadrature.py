@@ -336,8 +336,8 @@ def integrate_weibull(g: Callable[[np.ndarray], np.ndarray],
 # fixed panels in u for the vectorized fitting engine
 
 
-def fixed_u_panels(t: float, spacing: float = 0.5,
-                   order: int = GL_ORDER) -> tuple[np.ndarray, np.ndarray]:
+def fixed_u_panels(t: float,
+                   spacing: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights for a fixed mesh on [0, t].
 
     The mesh is uniform with width <= spacing on the upper half and a
@@ -350,7 +350,6 @@ def fixed_u_panels(t: float, spacing: float = 0.5,
         raise DomainError(f"t must be > 0, got {t!r}")
     if not (spacing > 0):
         raise DomainError("spacing must be > 0")
-    gx, gw = ((_GL_X, _GL_W) if order == GL_ORDER else leggauss(order))
     breaks = [t]
     lo = t / 2.0
     # uniform section down to t/2
@@ -367,7 +366,7 @@ def fixed_u_panels(t: float, spacing: float = 0.5,
     breaks = np.array(breaks[::-1])
     a = breaks[:-1]
     h = 0.5 * np.diff(breaks)
-    u = (a[:, None] + h[:, None] * (gx[None, :] + 1.0)).ravel()
-    w = (h[:, None] * gw[None, :]).ravel()
+    u = (a[:, None] + h[:, None] * (_GL_X[None, :] + 1.0)).ravel()
+    w = (h[:, None] * _GL_W[None, :]).ravel()
     return u, w
 

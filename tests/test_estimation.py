@@ -16,9 +16,9 @@ from masshist.core import CountDataset, FitResult, ModelKind, SsbParams
 from masshist.errors import (DomainError, InsufficientTimes, MissingBaseline,
                              NoFiniteMle, SingularInformation)
 from masshist.estimation import (FitConfig, GridAxis, GridSpec, _DatasetTables,
-                                 _lead_time_box, _log_sigmoid,
-                                 _logsumexp_last, _mesh_loglik, bic_delta,
-                                 current_status_loglik, default_logistic_grid,
+                                 _log_sigmoid, _logsumexp_last, _mesh_loglik,
+                                 bic_delta, current_status_loglik,
+                                 default_logistic_grid,
                                  fit_model, grid_refine_max,
                                  grid_search_logistic,
                                  initial_weibull_estimate,
@@ -67,15 +67,6 @@ class TestGridRefineMax:
             lambda x, y: 0.0 * x[:, None] - (y[None, :] - 0.5) ** 2, spec)
         assert res.point[0] == 2.0
         assert res.point[1] == pytest.approx(0.5, abs=1e-6)
-
-    def test_incumbent_only_displaced_by_strict_improvement(self):
-        spec = GridSpec(axes=(axis("x", 0.0, 1.0, 11),), refine_levels=0)
-        best = grid_refine_max(lambda x: -(x - 0.5) ** 2, spec,
-                               incumbent=((0.123,), 99.0))
-        assert best.point == (0.123,) and best.value == 99.0
-        worse = grid_refine_max(lambda x: -(x - 0.5) ** 2, spec,
-                                incumbent=((0.123,), -99.0))
-        assert worse.point == (0.5,) and worse.value == 0.0
 
     def test_boundary_flag(self):
         spec = GridSpec(axes=(axis("x", 0.0, 1.0, 11),), refine_levels=0)
@@ -174,12 +165,6 @@ class TestGridSearchLogistic:
         assert res.point[0] == pytest.approx(theta0.alpha, abs=0.2)
         assert res.point[1] == pytest.approx(theta0.beta, abs=0.02)
 
-    def test_incumbent_survives(self, sim_dataset):
-        inc = ((-3.3, 0.3), 1e9)
-        res = grid_search_logistic(sim_dataset, 4.0, 1.5, ModelKind.SSB,
-                                   incumbent=inc)
-        assert res.point == (-3.3, 0.3) and res.value == 1e9
-
 
 # Loop reference for the fixed-mesh kernel: one array pass per count,
 # with the likelihood module's scipy log_expit helpers and an unclamped
@@ -268,7 +253,7 @@ def assert_matches_reference(got, ref):
 class TestMeshKernel:
     @pytest.fixture(scope="class")
     def tables(self, sim_dataset):
-        return _DatasetTables(sim_dataset, FitConfig().engine_spacing)
+        return _DatasetTables(sim_dataset)
 
     @pytest.fixture(scope="class")
     def logistic_axes(self):
@@ -295,10 +280,8 @@ class TestMeshKernel:
     @pytest.mark.parametrize("gamma", [0.75, 1.5])
     @pytest.mark.parametrize("eta", [1.0, 0.8])
     def test_lead_time_grid(self, tables, gamma, eta):
-        t_obs = [e["t"] for e in tables.entries]
-        lam_ax, gamma_ax = _lead_time_box(4.0, gamma, min(t_obs),
-                                          max(t_obs)).axes
-        lams, gammas = lam_ax.values(), gamma_ax.values()
+        lams = np.geomspace(4.0 / 3.0, 12.0, 15)
+        gammas = np.geomspace(gamma / 3.0, 3.0 * gamma, 15)
         got = _mesh_loglik(tables, -3.0, 0.15, lams[:, None],
                            gammas[None, :], (eta,))[:, :, 0]
         ref = ref_weibull_sweep(tables, -3.0, 0.15, eta, lams, gammas)
@@ -319,7 +302,7 @@ class TestMeshKernel:
                             counts=((0, 0, 1, 20), (0, 4, 20, 20),
                                     (0, 9, 13, 20), (20, 20, 20, 17)),
                             mass=20)
-        tables = _DatasetTables(data, 1.0)
+        tables = _DatasetTables(data)
         alphas = np.linspace(-6.0, 2.0, 9)
         betas = np.linspace(0.05, 1.5, 7)
         etas = np.array([0.6, 0.9, 1.0])
@@ -338,7 +321,7 @@ class TestMeshKernel:
     def test_all_zero_counts_at_eta_zero(self):
         data = CountDataset(schedule=(2.0, 5.0), counts=((0, 0), (0,)),
                             mass=10)
-        got = _mesh_loglik(_DatasetTables(data, 1.0), -2.0, 0.3, 4.0, 1.5,
+        got = _mesh_loglik(_DatasetTables(data), -2.0, 0.3, 4.0, 1.5,
                            (0.0, 1.0))
         assert got[0] == 0.0 and got[1] < 0.0
 
@@ -381,23 +364,25 @@ class TestKernelPrimitives:
 
 
 class TestProfileIterate:
-    def test_zero_outer_rounds_keep_stage_two_point(self, sim_dataset):
-        cfg = FitConfig(compute_se=False, polish=False)
-        fit = profile_iterate(sim_dataset, 4.0, 1.5, ModelKind.SSB,
-                              n_outer=0, config=cfg)
-        direct = grid_search_logistic(sim_dataset, 4.0, 1.5, ModelKind.SSB,
-                                      tables=None)
-        assert fit.estimates["alpha"] == pytest.approx(direct.point[0],
-                                                       rel=1e-12)
-        assert fit.estimates["beta"] == pytest.approx(direct.point[1],
-                                                      rel=1e-12)
-        assert fit.estimates["lambda"] == 4.0
-        assert fit.estimates["gamma"] == 1.5
+    @pytest.mark.parametrize("model", [ModelKind.SSB, ModelKind.SSB_PLUS])
+    def test_trace_starts_at_the_logistic_grid_point(self, sim_dataset,
+                                                      model):
+        fit = profile_iterate(sim_dataset, 4.0, 1.5, model,
+                              config=FitConfig(compute_se=False))
+        direct = grid_search_logistic(sim_dataset, 4.0, 1.5, model)
+        first = fit.trace[0]
+        assert first["stage"] == "logistic"
+        assert first["value"] == direct.value
+        assert (first["alpha"], first["beta"]) == direct.point[:2]
+        eta = direct.point[2] if model is ModelKind.SSB_PLUS else 1.0
+        assert first["eta"] == eta
+        assert [e["stage"] for e in fit.trace] == ["logistic", "polish",
+                                                    "final"]
 
     def test_trace_is_monotone_through_search_stages(self, sim_fits):
         fit = sim_fits["ssb"]
         values = [e["value"] for e in fit.trace
-                  if e["stage"] in ("logistic", "lead_time", "polish")]
+                  if e["stage"] in ("logistic", "polish")]
         assert all(b >= a - 1e-6 for a, b in zip(values, values[1:]))
 
     def test_estimate_beats_truth_on_its_own_data(self, sim_fits,
@@ -450,6 +435,17 @@ class TestFitModel:
         assert fit.n_params == 5
         assert "eta" in fit.estimates
         assert 0.0 <= fit.estimates["eta"] <= 1.0
+
+    @pytest.mark.parametrize("model, optimum",
+                             [(ModelKind.SSB, -512.41375336),
+                              (ModelKind.SSB_PLUS, -467.82184818)],
+                             ids=["ssb", "ssb_plus"])
+    def test_real_data_reaches_known_optimum(self, real_dataset, model,
+                                             optimum):
+        # the best optima known on the shipped counts: alternating grid
+        # sweeps over (lambda, gamma) on top of the polish find no better
+        fit = fit_model(real_dataset, model, FitConfig(compute_se=False))
+        assert fit.loglik >= optimum - 1e-6
 
     def test_ssb_recovery_is_in_the_right_region(self, sim_fits, theta0):
         est = sim_fits["ssb"].estimates
