@@ -53,47 +53,45 @@ class Spectrum:
         return int(idx[0]) + 1
 
 
-def _common_grid(trajectories: Sequence[Trajectory]) -> np.ndarray:
+def _count_matrix(trajectories: Sequence[Trajectory]) -> np.ndarray:
+    """The ensemble's hourly records stacked into one (n, horizon + 1)
+    matrix; row i is trajectory i's N(0), ..., N(horizon)."""
     if not trajectories:
         raise DomainError("need at least one trajectory")
-    grid = trajectories[0].grid
-    for tr in trajectories[1:]:
-        if tr.grid.shape != grid.shape or np.any(tr.grid != grid):
-            raise GridMismatch("trajectories use different time grids")
-    return grid
+    if len({tr.counts.size for tr in trajectories}) > 1:
+        raise GridMismatch("trajectories cover different horizons")
+    return np.stack([tr.counts for tr in trajectories])
 
 
 def mean_curve(trajectories: Sequence[Trajectory]) -> np.ndarray:
-    """Pointwise mean count over an ensemble sharing one grid."""
-    _common_grid(trajectories)
-    stack = np.stack([tr.counts for tr in trajectories])
-    return stack.mean(axis=0)
+    """Pointwise mean of N(h) over an ensemble sharing one horizon."""
+    return _count_matrix(trajectories).mean(axis=0)
 
 
 def cross_section(trajectories: Sequence[Trajectory],
                   hour: float) -> dict[int, int]:
-    """Empirical distribution of the count at one grid hour:
-    {count: number of trajectories showing it}."""
-    _common_grid(trajectories)
-    out: dict[int, int] = {}
-    for tr in trajectories:
-        k = tr.count_at(hour)
-        out[k] = out.get(k, 0) + 1
-    return dict(sorted(out.items()))
+    """Empirical distribution of N(hour) at a whole hour in
+    0..horizon: {count: number of trajectories showing it}."""
+    x = _count_matrix(trajectories)
+    h = float(hour)
+    if not (h.is_integer() and 0 <= h < x.shape[1]):
+        raise DomainError(f"hour {hour!r} is not a whole hour in "
+                          f"0..{x.shape[1] - 1}")
+    ks, n = np.unique(x[:, int(h)], return_counts=True)
+    return {int(k): int(c) for k, c in zip(ks, n)}
 
 
 def trajectory_covariance(trajectories: Sequence[Trajectory]) -> np.ndarray:
     """Sample covariance (divisor n - 1) of the count vectors over hours
-    1..horizon; the hour-0 coordinate is dropped because it is the same
-    near-constant early reading for every trajectory.  The result is
-    symmetrized entry-by-entry so downstream eigensolvers see an exactly
-    symmetric matrix."""
-    grid = _common_grid(trajectories)
+    1..horizon; hour 0 is dropped because N(0) = 0 for every group.
+    The result is symmetrized entry-by-entry so downstream eigensolvers
+    see an exactly symmetric matrix."""
+    x = _count_matrix(trajectories)
     if len(trajectories) < 2:
         raise DomainError("covariance needs at least two trajectories")
-    if grid.size < 2:
+    if x.shape[1] < 2:
         raise DomainError("covariance needs hours beyond 0")
-    x = np.stack([tr.counts[1:] for tr in trajectories]).astype(float)
+    x = x[:, 1:].astype(float)
     x -= x.mean(axis=0)
     cov = x.T @ x / (len(trajectories) - 1)
     return 0.5 * (cov + cov.T)
@@ -132,10 +130,11 @@ def pca_cumvar(cov: np.ndarray, asym_tol: float = 1e-10) -> Spectrum:
 
 @dataclass
 class DynamicsReport:
-    """Summaries of the two competing trajectory ensembles on a common
-    grid: mean curves, count distributions at selected hours, principal
-    component spectra, the fitted log-likelihood ratio, and the BIC
-    table when a baseline fit is available."""
+    """Summaries of the two competing trajectory ensembles over their
+    common hours `grid` = 0..horizon: mean curves, count distributions
+    at selected hours, principal component spectra, the fitted
+    log-likelihood ratio, and the BIC table when a baseline fit is
+    available."""
 
     grid: np.ndarray
     hours: tuple[float, ...]
@@ -166,7 +165,9 @@ def dynamics_report(ssb_ensemble: Sequence[Trajectory],
     from .core import ModelKind
     from .estimation import bic_delta
 
-    grid = _common_grid(list(ssb_ensemble) + list(re_ensemble))
+    mean_ssb, mean_re = mean_curve(ssb_ensemble), mean_curve(re_ensemble)
+    if mean_ssb.size != mean_re.size:
+        raise GridMismatch("the two ensembles cover different horizons")
     by_model = {f.model: f for f in fits}
     ssb_fit = by_model.get(ModelKind.SSB) or by_model.get(ModelKind.SSB_PLUS)
     re_fit = by_model.get(ModelKind.LRM_RE)
@@ -175,10 +176,10 @@ def dynamics_report(ssb_ensemble: Sequence[Trajectory],
     bic = (bic_delta(list(fits), dataset.n_obs)
            if ModelKind.LRM in by_model else None)
     return DynamicsReport(
-        grid=grid.copy(),
+        grid=np.arange(mean_ssb.size),
         hours=tuple(float(h) for h in hours),
-        mean_ssb=mean_curve(ssb_ensemble),
-        mean_re=mean_curve(re_ensemble),
+        mean_ssb=mean_ssb,
+        mean_re=mean_re,
         cross_ssb={float(h): cross_section(ssb_ensemble, h) for h in hours},
         cross_re={float(h): cross_section(re_ensemble, h) for h in hours},
         spectrum_ssb=pca_cumvar(trajectory_covariance(ssb_ensemble)),

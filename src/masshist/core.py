@@ -228,75 +228,41 @@ class CountDataset:
         return sum(1 for col in self.counts if col)
 
 
-def _as_locked_array(x, dtype) -> np.ndarray:
-    arr = np.asarray(x, dtype=dtype).copy()
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    """One simulated group followed on an hourly grid.
+    """One simulated group's hourly count record.
 
-    grid:        integer hours 0, 1, ..., horizon.
-    counts:      cumulative event counts; counts[j] is the number of
-                 events strictly before hour grid[j] + 1, hence
-                 nondecreasing.
-    lead_time:   the group's shared latent lead time (0 for models
-                 without one).
-    event_times: optional per-individual event times, +inf for
-                 individuals that never act.
+    counts:    counts[h] = N(h), the number of events strictly before
+               hour h, for h = 0, 1, ..., horizon; nondecreasing, and
+               N(0) = 0 for every simulated group.
+    lead_time: the group's shared latent lead time (0 for models
+               without one).
     """
 
-    grid: np.ndarray
     counts: np.ndarray
     lead_time: float
-    event_times: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        grid = _as_locked_array(self.grid, np.int64)
-        counts = _as_locked_array(self.counts, np.int64)
-        object.__setattr__(self, "grid", grid)
+        counts = np.asarray(self.counts, dtype=np.int64).copy()
+        counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        _require(grid.ndim == 1 and counts.ndim == 1, "grid and counts must be 1-D")
-        _require(grid.size == counts.size, "grid and counts must align")
-        _require(grid.size >= 1 and grid[0] == 0, "grid must start at hour 0")
-        _require(bool(np.all(np.diff(grid) == 1)), "grid must be consecutive hours")
+        _require(counts.ndim == 1 and counts.size >= 1,
+                 "counts must be a non-empty 1-D array")
         _require(bool(np.all(counts >= 0)), "counts must be nonnegative")
         _require(bool(np.all(np.diff(counts) >= 0)), "counts must be nondecreasing")
         object.__setattr__(self, "lead_time", _finite(self.lead_time, "lead_time"))
-        if self.event_times is not None:
-            ev = np.asarray(self.event_times, dtype=float).copy()
-            ev.flags.writeable = False
-            object.__setattr__(self, "event_times", ev)
 
     @property
     def horizon(self) -> int:
-        return int(self.grid[-1])
-
-    def count_at(self, hour: float) -> int:
-        """Cumulative count recorded at an integer hour on the grid."""
-        h = float(hour)
-        if h != int(h) or not (0 <= int(h) <= self.horizon):
-            raise DomainError(f"hour {hour!r} not on the trajectory grid")
-        return int(self.counts[int(h)])
+        return self.counts.size - 1
 
     def events_before(self, t: float) -> int:
-        """Number of events strictly before time t.
-
-        Uses the exact event times when the trajectory carries them;
-        otherwise t must be a whole hour, for which the hourly record at
-        index t - 1 is the same quantity.
-        """
+        """N(t), the number of events strictly before the whole hour t
+        in 0..horizon."""
         t = float(t)
-        if self.event_times is not None:
-            ev = self.event_times[np.isfinite(self.event_times)]
-            return int(np.count_nonzero(ev < t))
-        if t != int(t) or not (0 <= int(t) <= self.horizon + 1):
-            raise DomainError(
-                f"time {t!r} needs event times or a whole hour on the grid")
-        h = int(t)
-        return 0 if h == 0 else int(self.counts[h - 1])
+        if not (t.is_integer() and 0 <= t <= self.horizon):
+            raise DomainError(f"time {t!r} is not a whole hour in 0..{self.horizon}")
+        return int(self.counts[int(t)])
 
 
 @dataclass

@@ -194,6 +194,8 @@ def grid_refine_max(f: Callable[..., np.ndarray],
     the first point in C scan order (earlier axes more significant,
     values ascending).  A refined scan replaces the best point so far
     only when strictly better, so the value never decreases by level.
+    NaN values count as -inf; a first scan with no value above -inf
+    raises NoFiniteMle.
     """
     axes = list(spec.axes)
     inc_pt: Optional[tuple[float, ...]] = None
@@ -206,11 +208,15 @@ def grid_refine_max(f: Callable[..., np.ndarray],
             raise DomainError(
                 f"objective returned shape {arr.shape}, expected "
                 f"{tuple(len(v) for v in vals)}")
+        arr = np.where(np.isnan(arr), -math.inf, arr)
         idx = np.unravel_index(int(np.argmax(arr)), arr.shape)
         cand_val = float(arr[idx])
         cand_pt = tuple(float(v[i]) for v, i in zip(vals, idx))
         if cand_val > inc_val:
             inc_pt, inc_val = cand_pt, cand_val
+        if inc_pt is None:
+            raise NoFiniteMle("objective is -inf or NaN on the whole "
+                              "first scan")
         levels.append({"level": level, "scan_max": cand_val,
                        "point": list(inc_pt), "value": inc_val})
         if level < spec.refine_levels:
@@ -379,8 +385,7 @@ def current_status_loglik(data: CountDataset, lams, gammas) -> np.ndarray:
     return (-n_zero * q + n_pos * log_f).sum(axis=2)
 
 
-def initial_weibull_estimate(data: CountDataset, refine_levels: int = 3,
-                             shrink: float = 0.2) -> tuple[float, float]:
+def initial_weibull_estimate(data: CountDataset) -> tuple[float, float]:
     """Starting values for (lambda, gamma) from current-status
     information only.
 
@@ -404,7 +409,7 @@ def initial_weibull_estimate(data: CountDataset, refine_levels: int = 3,
     spec = GridSpec(axes=(
         GridAxis("lambda", 0.2 * min(t_obs), 10.0 * max(t_obs), 41, log=True),
         GridAxis("gamma", 0.1, 10.0, 41, log=True),
-    ), refine_levels=refine_levels, shrink=shrink)
+    ), refine_levels=3, shrink=0.2)
     res = grid_refine_max(lambda l, g: current_status_loglik(data, l, g), spec)
     return res.point[0], res.point[1]
 

@@ -1,10 +1,11 @@
 """Simulation of grouped event histories and the sacrifice protocol.
 
-A trajectory follows one group of `mass` individuals on an hourly grid:
-counts[tau] is the number of events that occurred strictly before hour
-tau + 1.  The sacrifice design then mimics destructive sampling: each
-scheduled time consumes `group_size` whole trajectories, and only the
-count at that time survives into the resulting cross-sectional dataset.
+A trajectory is the hourly count record of one group of `mass`
+individuals: counts[h] = N(h), the number of events strictly before hour
+h, for h = 0..horizon.  The sacrifice design then mimics destructive
+sampling: each scheduled time t consumes `group_size` whole trajectories,
+and only N(t) survives into the resulting cross-sectional dataset, the
+same number the count likelihood models.
 
 All randomness flows through numpy Generators.  Sub-streams are derived
 from (seed, key...) tuples via SeedSequence, so each trajectory and each
@@ -143,10 +144,23 @@ def sample_action_time(alpha: float, beta: float, rng: np.random.Generator,
 
 
 def _counts_from_event_times(event_times: np.ndarray, horizon: int) -> np.ndarray:
-    """counts[tau] = #{T < tau + 1} for tau = 0..horizon."""
-    finite = np.sort(event_times[np.isfinite(event_times)])
-    edges = np.arange(1, horizon + 2, dtype=float)
-    return np.searchsorted(finite, edges, side="left").astype(np.int64)
+    """counts[h] = #{T < h} for h = 0..horizon."""
+    return np.searchsorted(np.sort(event_times), np.arange(horizon + 1),
+                           side="left")
+
+
+def _group_counts(start: float, alpha: float, beta: float, eta: float,
+                  mass: int, horizon: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The tail both simulators share: all phase indicators, then all
+    action delays; each responsive individual acts at start + delay."""
+    if mass < 1:
+        raise DomainError("mass must be >= 1")
+    if horizon < 1:
+        raise DomainError("horizon must be >= 1")
+    phase = rng.random(mass) < eta
+    s = sample_action_time(alpha, beta, rng, size=mass)
+    return _counts_from_event_times(start + s[phase], horizon)
 
 
 def simulate_trajectory(params: SsbParams, mass: int, horizon: int,
@@ -155,21 +169,12 @@ def simulate_trajectory(params: SsbParams, mass: int, horizon: int,
 
     Draw order is fixed (lead time, then all phase indicators, then all
     action delays) so a given generator state always yields the same
-    trajectory.  Individuals out of the responsive phase get event time
-    +inf.
+    trajectory.  Individuals out of the responsive phase never act.
     """
-    if mass < 1:
-        raise DomainError("mass must be >= 1")
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
     u = float(sample_lead_time(params.lam, params.gamma, rng))
-    phase = rng.random(mass) < params.eta
-    s = sample_action_time(params.alpha, params.beta, rng, size=mass)
-    event = np.where(phase, u + s, np.inf)
-    return Trajectory(grid=np.arange(horizon + 1),
-                      counts=_counts_from_event_times(event, horizon),
-                      lead_time=u,
-                      event_times=event)
+    counts = _group_counts(u, params.alpha, params.beta, params.eta,
+                           mass, horizon, rng)
+    return Trajectory(counts=counts, lead_time=u)
 
 
 def simulate_re_trajectory(params: ReParams, mass: int, horizon: int,
@@ -177,10 +182,6 @@ def simulate_re_trajectory(params: ReParams, mass: int, horizon: int,
     """One random-effects group: (alpha, beta) ~ N(mean, cov), redrawn
     until beta > 0 (the action-delay inverse needs a positive slope);
     no lead time, so events start accruing from hour 0."""
-    if mass < 1:
-        raise DomainError("mass must be >= 1")
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1")
     chol = np.linalg.cholesky(params.cov())
     mean = params.mean()
     for _ in range(_REJECTION_BUDGET):
@@ -190,13 +191,9 @@ def simulate_re_trajectory(params: ReParams, mass: int, horizon: int,
     else:
         raise RejectionBudgetExceeded(
             f"no beta > 0 draw in {_REJECTION_BUDGET} attempts")
-    phase = rng.random(mass) < params.eta
-    s = sample_action_time(float(a), float(b), rng, size=mass)
-    event = np.where(phase, s, np.inf)
-    return Trajectory(grid=np.arange(horizon + 1),
-                      counts=_counts_from_event_times(event, horizon),
-                      lead_time=0.0,
-                      event_times=event)
+    counts = _group_counts(0.0, float(a), float(b), params.eta,
+                           mass, horizon, rng)
+    return Trajectory(counts=counts, lead_time=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +206,10 @@ def sacrifice_sample(trajectories: Sequence[Trajectory],
     """Destructively sample trajectories on a schedule.
 
     A random permutation assigns group_size trajectories to each
-    scheduled time; each contributes the number of events that occurred
-    strictly before its sacrifice time (a system terminated at t cannot
-    record anything later).  Needs len(trajectories) ==
-    len(schedule) * group_size.
+    scheduled time; each contributes N(t), the number of events strictly
+    before its sacrifice time t (a system terminated at t cannot record
+    anything later).  Needs len(trajectories) ==
+    len(schedule) * group_size, and t a whole hour within the horizon.
     """
     sched = [float(t) for t in schedule]
     need = len(sched) * int(group_size)

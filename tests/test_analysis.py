@@ -21,11 +21,10 @@ from masshist.likelihood import ssb_count_loglik
 
 
 def hourly_trajectory(event_times, horizon=10):
-    ev = np.asarray(event_times, dtype=float)
-    edges = np.arange(1, horizon + 2, dtype=float)
-    counts = np.searchsorted(np.sort(ev), edges, side="left")
-    return Trajectory(grid=np.arange(horizon + 1), counts=counts,
-                      lead_time=0.0, event_times=ev)
+    """counts[h] = number of the given event times strictly before h."""
+    ev = np.sort(np.asarray(event_times, dtype=float))
+    counts = np.searchsorted(ev, np.arange(horizon + 1), side="left")
+    return Trajectory(counts=counts, lead_time=0.0)
 
 
 class TestMeanCurve:
@@ -56,28 +55,32 @@ class TestMeanCurve:
 class TestCrossSection:
     def test_point_mass(self):
         trs = [hourly_trajectory([0.5, 1.5])] * 7
-        assert cross_section(trs, 1.0) == {2: 7}
+        assert cross_section(trs, 1.0) == {1: 7}
+        assert cross_section(trs, 2.0) == {2: 7}
 
     def test_counts_partition_the_ensemble(self):
         trs = [hourly_trajectory([0.5] * k) for k in (0, 0, 1, 2, 2, 2)]
-        assert cross_section(trs, 0.0) == {0: 2, 1: 1, 2: 3}
+        assert cross_section(trs, 0.0) == {0: 6}
+        assert cross_section(trs, 1.0) == {0: 2, 1: 1, 2: 3}
 
     def test_off_grid_hour_rejected(self):
         with pytest.raises(DomainError):
             cross_section([hourly_trajectory([])], 3.5)
+        with pytest.raises(DomainError):
+            cross_section([hourly_trajectory([])], 11.0)
 
     def test_first_hour_mostly_silent(self, ssb_ensemble_2000):
-        # a group shows nothing in hour 0 at least as often as its lead
-        # time exceeds one hour: Pr[U >= 1] = exp(-(1/4)**1.5) ~ 0.88
-        freq = cross_section(ssb_ensemble_2000, 0.0)
+        # a group shows nothing before hour 1 at least as often as its
+        # lead time exceeds one hour: Pr[U >= 1] = exp(-(1/4)**1.5) ~ 0.88
+        freq = cross_section(ssb_ensemble_2000, 1.0)
         assert freq.get(0, 0) / 2000.0 > 0.8
 
     def test_hour_four_zero_fraction_matches_model(self, theta0,
                                                    ssb_ensemble_2000):
-        # the reading at grid hour 4 covers events before hour 5
+        # the reading at hour 4 is N(4), the count the likelihood models
         freq = cross_section(ssb_ensemble_2000, 4.0)
         got = freq.get(0, 0) / 2000.0
-        want = math.exp(ssb_count_loglik(theta0, 300, 5.0, 0))
+        want = math.exp(ssb_count_loglik(theta0, 300, 4.0, 0))
         se = math.sqrt(want * (1.0 - want) / 2000.0)
         assert abs(got - want) < 3.0 * se
 

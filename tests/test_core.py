@@ -165,43 +165,38 @@ class TestCountDataset:
 
 
 class TestTrajectory:
-    def test_count_at_and_horizon(self):
-        tr = Trajectory(grid=np.arange(4), counts=[0, 1, 1, 3], lead_time=2.0)
+    def test_events_before_and_horizon(self):
+        tr = Trajectory(counts=[0, 1, 1, 3], lead_time=2.0)
         assert tr.horizon == 3
-        assert tr.count_at(2) == 1
+        assert [tr.events_before(h) for h in range(4)] == [0, 1, 1, 3]
         with pytest.raises(DomainError):
-            tr.count_at(5)
+            tr.events_before(4)
         with pytest.raises(DomainError):
-            tr.count_at(1.5)
+            tr.events_before(-1)
 
     def test_rejects_decreasing_counts(self):
         with pytest.raises(DomainError):
-            Trajectory(grid=np.arange(3), counts=[2, 1, 3], lead_time=0.0)
+            Trajectory(counts=[2, 1, 3], lead_time=0.0)
 
-    def test_rejects_gapped_grid(self):
+    def test_rejects_negative_counts(self):
         with pytest.raises(DomainError):
-            Trajectory(grid=[0, 2, 3], counts=[0, 1, 1], lead_time=0.0)
+            Trajectory(counts=[-1, 0, 1], lead_time=0.0)
 
     def test_events_before_exact_vs_hourly(self):
-        # counts[tau] = events strictly before tau + 1, so events_before
-        # from the hourly record must match the exact event-time count
-        # at every whole hour
-        ev = np.array([0.4, 2.0, 2.5, 3.999, np.inf])
-        counts = [int(np.sum(ev < tau + 1)) for tau in range(6)]
-        with_times = Trajectory(grid=np.arange(7), counts=counts + [counts[-1]],
-                                lead_time=0.0, event_times=ev)
-        hourly_only = Trajectory(grid=np.arange(7), counts=counts + [counts[-1]],
-                                 lead_time=0.0)
-        for t in range(0, 8):
-            assert with_times.events_before(t) == hourly_only.events_before(t)
-        # strictly-before semantics at an exact event time
-        assert with_times.events_before(2.0) == 1
-        assert with_times.events_before(2.0000001) == 2
+        # the record of events at 0.4, 2.0, 2.5 and 3.999, written out by
+        # hand: counts[h] = events strictly before h, so the event at
+        # exactly 2.0 first shows at hour 3
+        ev = np.array([0.4, 2.0, 2.5, 3.999])
+        tr = Trajectory(counts=[0, 1, 1, 3, 4, 4, 4], lead_time=0.0)
+        for t in range(7):
+            assert tr.events_before(t) == int(np.sum(ev < t))
 
-    def test_events_before_fractional_needs_event_times(self):
-        tr = Trajectory(grid=np.arange(3), counts=[0, 1, 1], lead_time=0.0)
+    def test_events_before_rejects_fractional_hour(self):
+        tr = Trajectory(counts=[0, 1, 1], lead_time=0.0)
         with pytest.raises(DomainError):
             tr.events_before(1.5)
+        with pytest.raises(DomainError):
+            tr.events_before(float("nan"))
 
 
 class TestCountCsv:

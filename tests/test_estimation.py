@@ -73,6 +73,23 @@ class TestGridRefineMax:
         res = grid_refine_max(lambda x: x.copy(), spec)
         assert res.point == (1.0,) and res.on_boundary
 
+    def test_no_finite_first_scan_raises(self):
+        spec = GridSpec(axes=(axis("x", 0.0, 1.0, 5),), refine_levels=0)
+        with pytest.raises(NoFiniteMle):
+            grid_refine_max(lambda x: np.full(x.size, -np.inf), spec)
+        with pytest.raises(NoFiniteMle):
+            grid_refine_max(lambda x: np.full(x.size, np.nan), spec)
+
+    def test_nan_counts_as_minus_infinity(self):
+        spec = GridSpec(axes=(axis("x", 0.0, 1.0, 11),), refine_levels=2)
+
+        def f(x):
+            return np.where(x < 0.15, np.nan, -(x - 0.37) ** 2)
+
+        res = grid_refine_max(f, spec)
+        assert res.point[0] == pytest.approx(0.37, abs=4e-3)
+        assert all(math.isfinite(lv["scan_max"]) for lv in res.levels)
+
     def test_shape_mismatch_rejected(self):
         spec = GridSpec(axes=(axis("x", 0.0, 1.0, 5),), refine_levels=0)
         with pytest.raises(DomainError):

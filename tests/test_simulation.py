@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from masshist import simulation
+from masshist.analysis import cross_section
 from masshist.core import ModelKind, ReParams, SsbParams, Trajectory
 from masshist.errors import (DomainError, RejectionBudgetExceeded,
                              SizeMismatch)
@@ -89,19 +91,24 @@ class TestSimulateTrajectory:
         p = SsbParams(alpha=-3.0, beta=0.15, lam=4.0, gamma=1.5, eta=0.0)
         traj = simulate_trajectory(p, 20, 12, substream(9, 0, 0))
         assert np.all(traj.counts == 0)
-        assert np.all(np.isinf(traj.event_times))
 
     def test_invariants(self, theta0):
         traj = simulate_trajectory(theta0, 30, 24, substream(11, 0, 0))
-        assert np.array_equal(traj.grid, np.arange(25))
+        assert traj.horizon == 24
         assert traj.counts.shape == (25,)
         assert np.all(np.diff(traj.counts) >= 0)
-        assert 0 <= traj.counts[0] and traj.counts[-1] <= 30
+        assert traj.counts[0] == 0 and traj.counts[-1] <= 30
         assert traj.lead_time >= 0.0
-        # hourly counts agree with the recorded event times
-        for tau in (1.0, 5.0, 24.0):
-            before = int(np.sum(traj.event_times < tau))
-            assert traj.events_before(tau) == before
+        # the hourly record agrees with the event times redrawn from the
+        # same stream in the documented order
+        rng = substream(11, 0, 0)
+        u = lead_time_from_uniform(theta0.lam, theta0.gamma, rng.random())
+        phase = rng.random(30) < theta0.eta
+        ev = u + action_time_from_uniform(theta0.alpha, theta0.beta,
+                                          rng.random(30))[phase]
+        assert traj.lead_time == u
+        for tau in range(25):
+            assert traj.events_before(tau) == int(np.sum(ev < tau))
 
     def test_deterministic_given_stream(self, theta0):
         a = simulate_trajectory(theta0, 30, 24, substream(11, 0, 5))
@@ -111,11 +118,11 @@ class TestSimulateTrajectory:
 
     def test_ensemble_mean_matches_quadrature(self, theta0,
                                               ssb_ensemble_2000):
-        # E[counts[tau]] = M * eta * int_0^{tau+1} F_S(tau+1-u) dF_U(u)
+        # E[counts[tau]] = M * eta * int_0^tau F_S(tau-u) dF_U(u)
         stack = np.stack([t.counts for t in ssb_ensemble_2000])
         n = stack.shape[0]
-        for tau in (1, 3, 7, 23, 47):
-            t_edge = float(tau + 1)
+        for tau in (2, 4, 8, 24, 48):
+            t_edge = float(tau)
             g = lambda u: expit(theta0.alpha + theta0.beta * (t_edge - u))
             mean_model = 300.0 * theta0.eta * integrate_weibull(
                 g, theta0.lam, theta0.gamma, t_edge).value
@@ -133,14 +140,16 @@ class TestSimulateReTrajectory:
         assert np.array_equal(a.counts, b.counts)
 
     def test_degenerate_spread_matches_logistic_curve(self):
-        # sigma ~ 0 pins (a, b); counts[tau] is Binomial(M, F_S(tau+1))
+        # sigma ~ 0 pins (a, b); counts[tau] is Binomial(M, F_S(tau))
+        # for tau > 0 (counts[0] = 0: nothing acts before hour 0)
         n, mass = 400, 50
         stack = np.stack([
             simulate_re_trajectory(self.PARAMS, mass, 24,
                                    substream(17, 2, i)).counts
             for i in range(n)])
-        for tau in (0, 4, 12, 23):
-            p = expit(-3.0 + 0.15 * (tau + 1))
+        assert not stack[:, 0].any()
+        for tau in (1, 5, 13, 24):
+            p = expit(-3.0 + 0.15 * tau)
             got = stack[:, tau].mean()
             se = math.sqrt(mass * p * (1.0 - p) / n)
             assert abs(got - mass * p) < 3.0 * se
@@ -151,25 +160,26 @@ class TestSimulateReTrajectory:
         n = 200
         re_first = np.array([
             simulate_re_trajectory(self.PARAMS, 50, 4,
-                                   substream(19, 2, i)).counts[0]
+                                   substream(19, 2, i)).counts[1]
             for i in range(n)])
         ssb_first = np.array([
-            simulate_trajectory(theta0, 50, 4, substream(19, 0, i)).counts[0]
+            simulate_trajectory(theta0, 50, 4, substream(19, 0, i)).counts[1]
             for i in range(n)])
         assert np.mean(re_first > 0) > np.mean(ssb_first > 0) + 0.3
 
-    def test_impossible_slope_exhausts_rejections(self):
+    def test_impossible_slope_exhausts_rejections(self, monkeypatch):
+        # a small budget keeps the test fast; the loop is the same
+        monkeypatch.setattr(simulation, "_REJECTION_BUDGET", 1000)
         p = ReParams(mu1=-3.0, mu2=-50.0, rho=0.0, sigma1=1.0, sigma2=1e-6)
-        with pytest.raises(RejectionBudgetExceeded):
+        with pytest.raises(RejectionBudgetExceeded, match="1000 attempts"):
             simulate_re_trajectory(p, 5, 4, substream(23, 2, 0))
 
 
 def flat_trajectory(event_times, horizon=30):
-    ev = np.asarray(event_times, dtype=float)
-    edges = np.arange(1, horizon + 2, dtype=float)
-    counts = np.searchsorted(np.sort(ev), edges, side="left")
-    return Trajectory(grid=np.arange(horizon + 1), counts=counts,
-                      lead_time=0.0, event_times=ev)
+    """counts[h] = number of the given event times strictly before h."""
+    ev = np.sort(np.asarray(event_times, dtype=float))
+    counts = np.searchsorted(ev, np.arange(horizon + 1), side="left")
+    return Trajectory(counts=counts, lead_time=0.0)
 
 
 class TestSacrificeSample:
@@ -194,6 +204,17 @@ class TestSacrificeSample:
         traj = flat_trajectory([1.0, 4.0, 5.0])
         data = sacrifice_sample([traj], (4.0,), 1, substream(4, 1), 10)
         assert data.counts[0] == (1,)
+
+    def test_records_the_cross_section(self, theta0):
+        # the sacrificed count at t is the same N(t) that cross_section
+        # reads: sacrificing the whole ensemble at t gives its column
+        trajs = [simulate_trajectory(theta0, 300, 60, substream(29, 0, i))
+                 for i in range(200)]
+        for t in SimConfig(seed=0).schedule:
+            data = sacrifice_sample(trajs, (t,), len(trajs),
+                                    substream(29, 1), 300)
+            ks, n = np.unique(data.counts[0], return_counts=True)
+            assert dict(zip(ks.tolist(), n.tolist())) == cross_section(trajs, t)
 
 
 class TestSimConfig:
@@ -223,7 +244,6 @@ class TestSimulateDesign:
         for got, ref in zip(trajs, want):
             assert got.lead_time == ref.lead_time
             assert np.array_equal(got.counts, ref.counts)
-            assert np.array_equal(got.event_times, ref.event_times)
         ref_data = sacrifice_sample(want, cfg.schedule, 3, substream(8, 1), 40)
         assert data == ref_data
 
@@ -235,7 +255,10 @@ class TestSimulateDesign:
         trajs, data = simulate_design(self.THETA, cfg)
         assert data.schedule == (2.0, 4.0)
         assert data.counts == ((1, 0), (1, 1))
+        # counts[h] is N(h), so each record starts at 0 and ends at N(4)
         assert [int(tr.counts[-1]) for tr in trajs] == [1, 0, 1, 1]
+        assert [tr.counts.tolist() for tr in trajs] == [
+            [0, 1, 1, 1, 1], [0, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0, 1, 1, 1, 1]]
         assert [tr.lead_time for tr in trajs] == pytest.approx(
             [0.8005855559735618, 4.737059670447552, 3.686332384236105,
              0.7703952283967139], rel=1e-12)
