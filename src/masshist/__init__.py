@@ -13,10 +13,10 @@ from .core import (CountDataset, FitResult, ModelKind, ReParams, SsbParams,
 from .errors import (CsvFormatError, DomainError, GridMismatch,
                      InsufficientTimes, MassHistError, MissingBaseline,
                      NoFiniteMle, NotSymmetric, RejectionBudgetExceeded,
-                     SingularInformation, SizeMismatch, ToleranceNotMet)
+                     SingularInformation, SizeMismatch)
 from .estimation import (FitConfig, GridAxis, GridRefineResult, GridSpec,
                          bic_delta, current_status_loglik,
-                         default_logistic_grid, fit_model,
+                         default_logistic_grid, fit_model, fit_models,
                          grid_refine_max, grid_search_logistic,
                          initial_weibull_estimate, observed_information,
                          profile_iterate, std_errors_from_information)

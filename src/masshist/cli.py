@@ -34,7 +34,7 @@ from .analysis import dynamics_report, write_report
 from .core import (CountDataset, ModelKind, SsbParams, dump_json,
                    fit_result_to_dict, format_count_csv, parse_count_csv)
 from .errors import CsvFormatError, DomainError, MassHistError
-from .estimation import (FitConfig, bic_delta, fit_model,
+from .estimation import (FitConfig, bic_delta, fit_models,
                          initial_weibull_estimate, profile_iterate,
                          MODEL_ORDER)
 from .simulation import (SCHEDULE_PRESETS, SimConfig, run_protocol,
@@ -230,11 +230,9 @@ def cmd_fit(ns: argparse.Namespace) -> int:
     _write_echo(outdir, echo)
     cfg = FitConfig(compute_se=not opts["no_se"],
                     re_free_eta=bool(opts["re_free_eta"]))
-    fits = []
-    for m in models:
-        log.info("fitting %s", m.value)
-        fit = fit_model(data, m, cfg)
-        fits.append(fit)
+    fits = fit_models(data, models, cfg)
+    for fit in fits:
+        m = fit.model
         name = "fit.json" if len(models) == 1 else f"fit_{m.value}.json"
         dump_json(fit_result_to_dict(fit, config=echo),
                   os.path.join(outdir, name))
@@ -315,10 +313,8 @@ def cmd_compare(ns: argparse.Namespace) -> int:
     outdir = str(opts["out"])
     _write_echo(outdir, _sim_echo("compare", opts, config,
                                   {"hours": list(hours)}))
-    fit_cfg = FitConfig(compute_se=False)
-    result = run_protocol(params, config, fit_cfg)
-    lrm_fit = fit_model(result.dataset, ModelKind.LRM, fit_cfg)
-    fits = [lrm_fit, result.re_fit, result.ssb_fit]
+    result = run_protocol(params, config, FitConfig(compute_se=False))
+    fits = [result.lrm_fit, result.re_fit, result.ssb_fit]
     report = dynamics_report(result.trajectories, result.re_trajectories,
                              result.dataset, fits, hours)
     _write_trajectories(os.path.join(outdir, "trajectories_ssb.csv"),

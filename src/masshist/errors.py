@@ -3,8 +3,8 @@
 Everything derives from MassHistError so callers can catch the library's
 failures in one clause.  Input problems (bad parameter values, malformed
 files) are kept distinct from numerical failures (singular information,
-an unmet quadrature tolerance) because the command line maps them to different
-exit codes.
+no finite maximum) because the command line maps them to different exit
+codes.
 """
 
 
@@ -36,11 +36,6 @@ class NoFiniteMle(MassHistError):
 class SingularInformation(MassHistError):
     """Observed information matrix could not be inverted for standard
     errors."""
-
-
-class ToleranceNotMet(MassHistError):
-    """An adaptive quadrature exhausted its subdivision budget while a
-    caller demanded strict convergence."""
 
 
 class MissingBaseline(MassHistError):

@@ -1,7 +1,13 @@
 """Fitting the five count models.
 
-The shared-lead-time models are estimated in two grid stages and a
-polish:
+fit_model runs three steps: the model family's search (_search), which
+fits that model alone; for LRM+ and SSB+ the one eta = 1 boundary rule
+(_nest); then the standard errors (_attach_se).  The models nest (LRM+
+and LRM-RE contain LRM, SSB+ contains SSB), and a nested model takes
+its submodel's fit instead of refitting it; fit_models walks
+MODEL_ORDER so that each fit is made once and handed down.
+
+The shared-lead-time search runs in two grid stages and a polish:
 
   stage 1  initial_weibull_estimate: a current-status fit of the lead
            time alone, using only whether each count is zero;
@@ -28,12 +34,11 @@ The logistic families (plain, extended, random effects) are smooth
 low-dimensional problems and go through Nelder-Mead from a coarse grid
 start, in transformed coordinates that keep them inside their domains.
 """
-
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -62,6 +67,7 @@ __all__ = [
     "grid_search_logistic",
     "profile_iterate",
     "fit_model",
+    "fit_models",
     "observed_information",
     "std_errors_from_information",
     "bic_delta",
@@ -456,9 +462,9 @@ def grid_search_logistic(data: CountDataset, lam: float, gamma: float,
 @dataclass
 class FitConfig:
     """Knobs shared by all fitting paths: the adaptive quadrature of
-    the quoted log-likelihoods, whether to compute standard errors, and
-    whether the random-effects logistic fits eta.  The fixed-mesh
-    engine's spacing and the Nelder-Mead iteration cap are constants."""
+    the quoted log-likelihoods, whether fit_model's last step computes
+    standard errors, and whether the random-effects logistic fits eta.
+    The mesh spacing and the Nelder-Mead iteration cap are constants."""
 
     quad: QuadConfig = DEFAULT_QUAD
     compute_se: bool = True
@@ -475,7 +481,8 @@ def profile_iterate(data: CountDataset, lam0: float, gamma0: float,
     the grid point only on a strict improvement; the quoted loglik is
     recomputed with adaptive quadrature at the end.  converged is False
     when the grid maximum sits on its box and the polish did not move
-    it, or when the accepted polish stopped on its iteration cap.
+    it, or when the accepted polish stopped on its iteration cap.  The
+    search step only: fit_model adds SSB+'s eta = 1 rule and the errors.
     """
     model = ModelKind(model)
     cfg = config or FitConfig()
@@ -586,35 +593,8 @@ def std_errors_from_information(info: np.ndarray) -> np.ndarray:
     return np.sqrt(d)
 
 
-def _attach_se(result: FitResult, loglik: Callable[[np.ndarray], float],
-               names: Sequence[str], caps: dict[str, float]) -> None:
-    """Observed information and standard errors at result's estimates.
-
-    loglik takes the named parameters, in natural units and in order.
-    Each step is cbrt(eps) * (1 + |theta|), cut to the name's cap in
-    caps (uncapped when absent).  Singular information leaves
-    std_errors None with a warning; an eta estimate not among names
-    sits at its boundary and gets a None standard error.
-    """
-    est = result.estimates
-    theta = np.array([est[n] for n in names])
-    steps = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(theta))
-    steps = np.array([min(h, caps.get(n, math.inf))
-                      for h, n in zip(steps, names)])
-    result.info = observed_information(loglik, theta, steps)
-    try:
-        se = std_errors_from_information(result.info)
-    except SingularInformation:
-        log.warning("standard errors unavailable: singular information")
-        result.std_errors = None
-        return
-    result.std_errors = dict(zip(names, se.tolist()))
-    if "eta" in est and "eta" not in names:
-        result.std_errors["eta"] = None
-
-
 # ---------------------------------------------------------------------------
-# model-specific fitting paths
+# the family searches
 
 
 def _nelder_mead(obj, x0: np.ndarray):
@@ -641,8 +621,7 @@ def _lrm_grid_scan(data: CountDataset, etas: np.ndarray) -> tuple:
     return best[1]
 
 
-def _fit_lrm(data: CountDataset, cfg: FitConfig,
-             free_eta: bool) -> FitResult:
+def _fit_lrm(data: CountDataset, free_eta: bool) -> FitResult:
     model = ModelKind.LRM_PLUS if free_eta else ModelKind.LRM
     etas = np.linspace(0.5, 1.0, 6) if free_eta else np.array([1.0])
     a0, b0, e0 = _lrm_grid_scan(data, etas)
@@ -658,55 +637,19 @@ def _fit_lrm(data: CountDataset, cfg: FitConfig,
             return -lrm_loglik(x[0], math.exp(x[1]), data)
         starts = [np.array([a0, math.log(b0)])]
 
-    best = None
-    for x0 in starts:
-        r = _nelder_mead(obj, x0)
-        if best is None or r.fun < best.fun:
-            best = r
-    ok = bool(best.success)
-    alpha, beta = float(best.x[0]), float(math.exp(best.x[1]))
-    eta = float(expit(best.x[2])) if free_eta else 1.0
+    best = min((_nelder_mead(obj, x0) for x0 in starts), key=lambda r: r.fun)
     ll = -float(best.fun)
-    boundary_eta = False
+    estimates = {"alpha": float(best.x[0]), "beta": float(math.exp(best.x[1]))}
     if free_eta:
-        # the extended model contains eta = 1; take the boundary fit when
-        # it does at least as well, reporting eta as a boundary estimate
-        base = _fit_lrm(data, replace(cfg, compute_se=False), False)
-        if base.loglik >= ll or eta > 1.0 - 1e-6:
-            alpha, beta = base.estimates["alpha"], base.estimates["beta"]
-            ll = max(ll, base.loglik)
-            eta = 1.0
-            boundary_eta = True
-            ok = ok and base.converged
-
-    estimates = {"alpha": alpha, "beta": beta}
-    if free_eta:
-        estimates["eta"] = eta
-    result = FitResult(model=model, estimates=estimates, loglik=ll,
-                       n_params=model.n_params, converged=ok,
-                       trace=[{"stage": "simplex", "value": ll,
-                               "boundary_eta": boundary_eta}])
-    if cfg.compute_se:
-        fit_eta = free_eta and not boundary_eta
-        caps = {"beta": 0.25 * beta}
-        if fit_eta:
-            caps["eta"] = 0.25 * min(eta, 1.0 - eta)
-
-        def nat_ll(th):
-            try:
-                return lrm_loglik(th[0], th[1], data,
-                                  th[2] if fit_eta else eta)
-            except DomainError:
-                return -np.inf
-
-        names = ["alpha", "beta"] + (["eta"] if fit_eta else [])
-        _attach_se(result, nat_ll, names, caps)
-    return result
+        estimates["eta"] = float(expit(best.x[2]))
+    return FitResult(model=model, estimates=estimates, loglik=ll,
+                     n_params=model.n_params, converged=bool(best.success),
+                     trace=[{"stage": "simplex", "value": ll}])
 
 
-def _fit_re(data: CountDataset, cfg: FitConfig) -> FitResult:
+def _fit_re(data: CountDataset, cfg: FitConfig, lrm: FitResult) -> FitResult:
+    """Search LRM-RE from four starts about the LRM fit `lrm`."""
     free_eta = cfg.re_free_eta
-    lrm = _fit_lrm(data, replace(cfg, compute_se=False), False)
     a0, b0 = lrm.estimates["alpha"], lrm.estimates["beta"]
 
     def unpack(x) -> ReParams:
@@ -727,97 +670,147 @@ def _fit_re(data: CountDataset, cfg: FitConfig) -> FitResult:
                 x.append(logit(0.95))
             starts.append(np.array(x))
 
-    best = None
-    for x0 in starts:
-        r = _nelder_mead(obj, x0)
-        if best is None or r.fun < best.fun:
-            best = r
-    ok = bool(best.success)
+    best = min((_nelder_mead(obj, x0) for x0 in starts), key=lambda r: r.fun)
     params = unpack(best.x)
     ll = -float(best.fun)
-    names = ["mu1", "mu2", "rho", "sigma1", "sigma2"]
     estimates = {"mu1": params.mu1, "mu2": params.mu2, "rho": params.rho,
                  "sigma1": params.sigma1, "sigma2": params.sigma2}
-    n_params = 5
     if free_eta:
         estimates["eta"] = params.eta
-        names.append("eta")
-        n_params = 6
-    result = FitResult(model=ModelKind.LRM_RE, estimates=estimates,
-                       loglik=ll, n_params=n_params, converged=ok,
-                       trace=[{"stage": "simplex", "value": ll,
-                               "n_starts": len(starts)}])
-    if cfg.compute_se:
-        def nat_ll(th):
+    return FitResult(model=ModelKind.LRM_RE, estimates=estimates,
+                     loglik=ll, n_params=len(estimates),
+                     converged=bool(best.success),
+                     trace=[{"stage": "simplex", "value": ll,
+                             "n_starts": len(starts)}])
+
+
+def _search(data: CountDataset, model: ModelKind, cfg: FitConfig,
+            sub: Optional[FitResult]) -> FitResult:
+    """Fit `model` by its family's search alone: no other model is
+    fitted, no boundary rule applied and no standard error computed.
+    sub is the LRM fit that starts LRM-RE; the others ignore it."""
+    if model in (ModelKind.LRM, ModelKind.LRM_PLUS):
+        return _fit_lrm(data, free_eta=model is ModelKind.LRM_PLUS)
+    if model is ModelKind.LRM_RE:
+        return _fit_re(data, cfg, sub)
+    lam0, gamma0 = initial_weibull_estimate(data)
+    return profile_iterate(data, lam0, gamma0, model, config=cfg)
+
+
+# ---------------------------------------------------------------------------
+# nesting, standard errors and the fit entry points
+
+# each nested model and the submodel it contains; LRM+ and SSB+ reduce
+# to theirs at eta = 1, LRM-RE to LRM at zero random-effect variance
+_SUBMODEL = {ModelKind.LRM_PLUS: ModelKind.LRM,
+             ModelKind.LRM_RE: ModelKind.LRM,
+             ModelKind.SSB_PLUS: ModelKind.SSB}
+
+
+def _nest(free: FitResult, sub: FitResult) -> FitResult:
+    """The eta = 1 boundary rule: an extended model never reports a free
+    fit that its submodel (itself at eta = 1) matches or beats, nor one
+    whose eta lies within 1e-6 of 1.  Then it quotes sub's estimates
+    with eta = 1, its loglik, converged flag and trace, plus a final
+    "boundary_eta" stage."""
+    if sub.loglik < free.loglik and free.estimates["eta"] <= 1.0 - 1e-6:
+        return free
+    return FitResult(model=free.model,
+                     estimates={**sub.estimates, "eta": 1.0},
+                     loglik=sub.loglik, n_params=free.n_params,
+                     converged=sub.converged,
+                     trace=sub.trace + [{"stage": "boundary_eta",
+                                         "value": sub.loglik}])
+
+
+def _attach_se(result: FitResult, data: CountDataset,
+               cfg: FitConfig) -> None:
+    """Observed information and standard errors at result's estimates,
+    from the family's natural-scale log-likelihood.  eta counts only
+    when 1e-9 < eta < 1 - 1e-9 (else its error is None).  Steps are
+    cbrt(eps) (1 + |theta|), capped at 0.25 theta for beta, lambda,
+    gamma, sigma1, sigma2, at 0.25 (1 - |rho|) and at 0.25 min(eta,
+    1 - eta) + 1e-12.  Singular information leaves std_errors None."""
+    est, model = result.estimates, result.model
+    eta = est.get("eta", 1.0)
+    free_eta = "eta" in est and 1e-9 < eta < 1.0 - 1e-9
+    names = [n for n in est if n != "eta" or free_eta]
+    caps = {n: 0.25 * est[n] for n in ("beta", "lambda", "gamma", "sigma1",
+                                       "sigma2") if n in est}
+    caps["rho"] = 0.25 * (1.0 - abs(est.get("rho", 0.0)))
+    caps["eta"] = 0.25 * min(eta, 1.0 - eta) + 1e-12
+    theta = np.array([est[n] for n in names])
+    steps = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(theta))
+    steps = np.array([min(h, caps.get(n, math.inf))
+                      for h, n in zip(steps, names)])
+
+    if model in (ModelKind.SSB, ModelKind.SSB_PLUS):
+        params = SsbParams(alpha=est["alpha"], beta=est["beta"],
+                           lam=est["lambda"], gamma=est["gamma"], eta=eta)
+        loglik = frozen_dataset_loglik(params, data, cfg.quad,
+                                       free_eta=free_eta)
+    else:
+        def loglik(th):
+            th_eta = th[-1] if free_eta else eta
             try:
-                p = ReParams(mu1=th[0], mu2=th[1], rho=th[2], sigma1=th[3],
-                             sigma2=th[4],
-                             eta=th[5] if free_eta else 1.0)
+                if model is ModelKind.LRM_RE:
+                    return re_loglik(ReParams(*th[:5], eta=th_eta), data,
+                                     cfg.quad)
+                return lrm_loglik(th[0], th[1], data, th_eta)
             except DomainError:
                 return -np.inf
-            return re_loglik(p, data, cfg.quad)
 
-        caps = {"rho": 0.25 * (1.0 - abs(params.rho)),
-                "sigma1": 0.25 * params.sigma1,
-                "sigma2": 0.25 * params.sigma2}
-        if free_eta:
-            caps["eta"] = 0.25 * min(params.eta, 1.0 - params.eta) + 1e-12
-        _attach_se(result, nat_ll, names, caps)
-    return result
+    result.info = observed_information(loglik, theta, steps)
+    try:
+        se = std_errors_from_information(result.info)
+    except SingularInformation:
+        log.warning("standard errors unavailable: singular information")
+        result.std_errors = None
+        return
+    result.std_errors = dict(zip(names, se.tolist()))
+    if "eta" in est and not free_eta:
+        result.std_errors["eta"] = None
 
 
 def fit_model(data: CountDataset, model: ModelKind,
-              config: Optional[FitConfig] = None) -> FitResult:
-    """Fit one of the five models to a count dataset and return its
-    FitResult (estimates in natural units, adaptive-quadrature loglik,
-    observed information and standard errors unless disabled)."""
+              config: Optional[FitConfig] = None, *,
+              sub: Optional[FitResult] = None) -> FitResult:
+    """Fit one of the five models to a count dataset: search, the eta = 1
+    rule for LRM+ and SSB+ (_nest), then standard errors unless
+    config.compute_se is off.  `sub` is the submodel's fit on the same
+    data (LRM for LRM+ and LRM-RE, SSB for SSB+); without it the
+    submodel is searched here.  Passing it changes no result; a `sub`
+    of any other model raises DomainError."""
     model = ModelKind(model)
     cfg = config or FitConfig()
-    if model is ModelKind.LRM:
-        return _fit_lrm(data, cfg, free_eta=False)
-    if model is ModelKind.LRM_PLUS:
-        return _fit_lrm(data, cfg, free_eta=True)
-    if model is ModelKind.LRM_RE:
-        return _fit_re(data, cfg)
-
-    lam0, gamma0 = initial_weibull_estimate(data)
-    if model is ModelKind.SSB:
-        result = profile_iterate(data, lam0, gamma0, ModelKind.SSB,
-                                 config=cfg)
-    else:
-        free = profile_iterate(data, lam0, gamma0, ModelKind.SSB_PLUS,
-                               config=cfg)
-        restricted = profile_iterate(data, lam0, gamma0, ModelKind.SSB,
-                                     config=cfg)
-        # the extended model nests eta = 1: never report a free fit that
-        # the boundary beats
-        if restricted.loglik >= free.loglik:
-            estimates = dict(restricted.estimates)
-            estimates["eta"] = 1.0
-            result = FitResult(model=ModelKind.SSB_PLUS, estimates=estimates,
-                               loglik=restricted.loglik,
-                               n_params=ModelKind.SSB_PLUS.n_params,
-                               converged=restricted.converged,
-                               trace=restricted.trace
-                               + [{"stage": "boundary_eta", "value":
-                                   restricted.loglik}])
-        else:
-            result = free
+    want = _SUBMODEL.get(model)
+    if sub is not None and sub.model is not want:
+        expected = f"a {want.value} fit" if want else "None"
+        raise DomainError(f"sub for {model.value} must be {expected}, got "
+                          f"a {sub.model.value} fit")
+    if want is not None and sub is None:
+        sub = _search(data, want, cfg, None)
+    result = _search(data, model, cfg, sub)
+    if model in (ModelKind.LRM_PLUS, ModelKind.SSB_PLUS):
+        result = _nest(result, sub)
     if cfg.compute_se:
-        est = result.estimates
-        eta = est.get("eta", 1.0)
-        free_eta = "eta" in est and 1e-9 < eta < 1.0 - 1e-9
-        params = SsbParams(alpha=est["alpha"], beta=est["beta"],
-                           lam=est["lambda"], gamma=est["gamma"], eta=eta)
-        caps = {"beta": 0.25 * est["beta"], "lambda": 0.25 * est["lambda"],
-                "gamma": 0.25 * est["gamma"]}
-        if free_eta:
-            caps["eta"] = 0.25 * min(eta, 1.0 - eta) + 1e-12
-        names = (["alpha", "beta", "lambda", "gamma"]
-                 + (["eta"] if free_eta else []))
-        ll = frozen_dataset_loglik(params, data, cfg.quad, free_eta=free_eta)
-        _attach_se(result, ll, names, caps)
+        _attach_se(result, data, cfg)
     return result
+
+
+def fit_models(data: CountDataset, models: Sequence[ModelKind],
+               config: Optional[FitConfig] = None) -> list[FitResult]:
+    """Fit each of `models` once, in MODEL_ORDER, passing each fit to
+    the models that nest it as their `sub`.  Returns the fits in
+    MODEL_ORDER, equal to separate fit_model calls."""
+    wanted = {ModelKind(m) for m in models}
+    fits: dict[ModelKind, FitResult] = {}
+    for m in MODEL_ORDER:
+        if m in wanted:
+            log.info("fitting %s", m.value)
+            fits[m] = fit_model(data, m, config,
+                                sub=fits.get(_SUBMODEL.get(m)))
+    return list(fits.values())
 
 
 # ---------------------------------------------------------------------------

@@ -89,24 +89,23 @@ def _log_failure(z, eta: float):
 
 
 def _binom_kernel_peak(alpha: float, beta: float, t: float,
-                       mass: int, k: int, eta: float) -> float:
+                       mass: int, ks, eta: float) -> np.ndarray:
     """max over u in [0, t] of k*log(eta p) + (mass-k)*log(1 - eta p)
-    where p = expit(alpha + beta*(t-u)).
+    where p = expit(alpha + beta*(t-u)), for every count k in ks.
 
     The kernel is unimodal in z = alpha + beta*(t-u) with its maximum at
     eta*p = k/mass, so the peak sits at logit(k/(mass*eta)) clamped to
     the achievable range [alpha, alpha + beta*t].
     """
+    ks = np.asarray(ks)
     z_lo, z_hi = alpha, alpha + beta * t
-    if k == 0:
-        zs = z_lo
-    elif k >= mass * eta:
-        zs = z_hi
-    else:
-        zs = min(max(float(logit(k / (mass * eta))), z_lo), z_hi)
-    ls = float(_log_success(np.float64(zs), eta)) if k > 0 else 0.0
-    lf = float(_log_failure(np.float64(zs), eta)) if k < mass else 0.0
-    return k * ls + (mass - k) * lf
+    inner = (ks > 0) & (ks < mass * eta)
+    z_peak = logit(np.where(inner, ks / (mass * eta), 0.5))
+    zs = np.where(inner, np.minimum(np.maximum(z_peak, z_lo), z_hi),
+                  np.where(ks == 0, z_lo, z_hi))
+    ls = np.where(ks > 0, _log_success(zs, eta), 0.0)
+    lf = np.where(ks < mass, _log_failure(zs, eta), 0.0)
+    return ks * ls + (mass - ks) * lf
 
 
 def _log_binom_coef(mass: int, k: int) -> float:
@@ -122,69 +121,69 @@ def _check_obs(mass: int, t: float, ks) -> None:
         raise DomainError(f"count {int(bad[0])} outside [0, {mass}]")
 
 
-def _kernel_breakpoints(alpha: float, beta: float, t: float,
-                        mass: int, k: int, eta: float):
-    """u values resolving the binomial kernel's sharp region, or None.
+def _shared_breakpoints(alpha: float, beta: float, t: float, mass: int,
+                        ks, eta: float) -> list[float]:
+    """u values resolving the sharp region of each count's binomial
+    kernel, pooled over the counts ks and thinned.
 
     For 0 < k < mass*eta the kernel peaks at z* = logit(k/(mass*eta)),
     i.e. u* = t - (z* - alpha)/beta, with curvature scale sigma_z of
-    order 1/sqrt(mass q (1-q)).  When the peak falls at or beyond the
-    z ceiling alpha + beta*t the kernel instead decays from u = 0 on a
-    length set by its log-slope there, and at most by its curvature
-    width 1/(beta sqrt(mass s (1-s))), s = eta expit(z_hi): at a peak
-    sitting on the ceiling the slope is 0 and only the curvature is
-    left.  For large mass either feature is far narrower than the
-    default mesh; handing its location to the quadrature saves the
-    subdivisions otherwise spent finding it.
+    order 1/sqrt(mass q (1-q)); it gets u* + (-8, -2, 0, 2, 8) sigma_u.
+    When the peak falls at or beyond the z ceiling alpha + beta*t the
+    kernel instead decays from u = 0 on a length ell set by its
+    log-slope there, and at most by its curvature width
+    1/(beta sqrt(mass s (1-s))), s = eta expit(z_hi): at a peak sitting
+    on the ceiling the slope is 0 and only the curvature is left; it
+    gets ell * (0.25, 1, 4, 16, 64).  k = 0 contributes nothing.  For
+    large mass either feature is far narrower than the default mesh;
+    handing its location to the quadrature saves the subdivisions
+    otherwise spent finding it.
+
+    Of the candidates inside (0, t), one is kept only if it lies at
+    least its own kernel's smallest breakpoint gap above the last one
+    kept.  Each narrow kernel stays bracketed, while wide kernels with
+    nearby peaks do not flood the initial mesh; a single count keeps all
+    of its own.
     """
-    if k <= 0:
-        return None
-    q = k / (mass * eta)
+    ks = np.asarray(ks)
+    ks = ks[ks > 0]
+    q = ks / (mass * eta)
     z_hi = alpha + beta * t
-    if 0.0 < q < 1.0:
-        z_star = float(logit(q))
-        if z_star < z_hi:
-            u_star = t - (z_star - alpha) / beta
-            sigma_u = 1.0 / (math.sqrt(mass * q * (1.0 - q)) * beta)
-            return tuple(u_star + c * sigma_u
-                         for c in (-8.0, -2.0, 0.0, 2.0, 8.0))
-    # peak clamped to u = 0: exponential falloff with rate
-    # beta * d/dz [k log(eta p) + (mass-k) log(1 - eta p)] at z_hi
+    peaked = q < 1.0
+    z_star = logit(np.where(peaked, q, 0.5))
+    peaked &= z_star < z_hi
     p_hi = float(expit(z_hi))
-    slope = k * (1.0 - p_hi)
-    if k < mass:
-        slope -= (mass - k) * eta * p_hi * (1.0 - p_hi) / (1.0 - eta * p_hi)
-    slope *= beta
     s = eta * p_hi
-    ell = 1.0 / slope if slope > 0.0 else math.inf
-    if 0.0 < s < 1.0:
-        ell = min(ell, 1.0 / (beta * math.sqrt(mass * s * (1.0 - s))))
-    if not math.isfinite(ell):
-        return None
-    return tuple(ell * c for c in (0.25, 1.0, 4.0, 16.0, 64.0))
-
-
-def _shared_breakpoints(alpha: float, beta: float, t: float, mass: int,
-                        ks, eta: float):
-    """The union of every count's _kernel_breakpoints inside (0, t),
-    thinned: a candidate is kept only if it lies at least its own
-    kernel's smallest breakpoint gap above the last one kept.  Each
-    narrow kernel stays bracketed, while wide kernels with nearby peaks
-    do not flood the initial mesh; a single count keeps all of its own.
-    """
-    cands = []
-    for k in ks:
-        bp = _kernel_breakpoints(alpha, beta, t, mass, int(k), eta)
-        if bp is None:
-            continue
-        gap = min(hi - lo for lo, hi in zip(bp, bp[1:]))
-        cands.extend((u, gap) for u in bp if 0.0 < u < t)
+    # both branches are evaluated for every count, and each is invalid
+    # (a square root of a negative, a zero slope) where it is not used
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u_star = t - (z_star - alpha) / beta
+        sigma_u = 1.0 / (np.sqrt(mass * q * (1.0 - q)) * beta)
+        # peak clamped to u = 0: exponential falloff with rate
+        # beta * d/dz [k log(eta p) + (mass-k) log(1 - eta p)] at z_hi
+        slope = ks * (1.0 - p_hi)
+        drag = (mass - ks) * eta * p_hi * (1.0 - p_hi) / (1.0 - eta * p_hi)
+        slope = np.where(ks < mass, slope - drag, slope) * beta
+        ell = np.where(slope > 0.0, 1.0 / slope, np.inf)
+        if 0.0 < s < 1.0:
+            ell = np.minimum(
+                ell, 1.0 / (beta * math.sqrt(mass * s * (1.0 - s))))
+        bp = np.where(peaked[:, None],
+                      u_star[:, None] + np.array([-8.0, -2.0, 0.0, 2.0, 8.0])
+                      * sigma_u[:, None],
+                      ell[:, None] * np.array([0.25, 1.0, 4.0, 16.0, 64.0]))
+    bp = bp[peaked | np.isfinite(ell)]
+    gap = np.repeat(np.diff(bp, axis=1).min(axis=1), bp.shape[1])
+    u = bp.ravel()
+    inside = (0.0 < u) & (u < t)
+    u, gap = u[inside], gap[inside]
+    order = np.lexsort((gap, u))
     kept = []
     last = -math.inf
-    for u, gap in sorted(cands):
-        if u - last >= gap:
-            kept.append(u)
-            last = u
+    for x, g in zip(u[order].tolist(), gap[order].tolist()):
+        if x - last >= g:
+            kept.append(x)
+            last = x
     return kept
 
 
@@ -207,8 +206,7 @@ def _counts_loglik(p: SsbParams, mass: int, t: float, ks,
         # nobody ever acts: the count is 0 with probability one
         return np.where(zero, 0.0, -np.inf), True, ()
 
-    shift = np.array([_binom_kernel_peak(a, b, t, mass, int(k), eta)
-                      for k in ks])
+    shift = _binom_kernel_peak(a, b, t, mass, ks, eta)
     fails = (mass - ks).astype(float)
     succs = ks.astype(float)
 

@@ -41,7 +41,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, ToleranceNotMet
+from .errors import DomainError
 
 __all__ = [
     "QuadConfig",
@@ -219,8 +219,8 @@ def integrate_weibull(g: Callable[[np.ndarray], np.ndarray],
                       lam: float, gamma: float, t: float,
                       config: Optional[QuadConfig] = None,
                       panels: Optional[Sequence[tuple[float, float]]] = None,
-                      breakpoints: Optional[Sequence[float]] = None,
-                      strict: bool = False) -> QuadResult:
+                      breakpoints: Optional[Sequence[float]] = None
+                      ) -> QuadResult:
     """Integrate g against the Weibull(lam, gamma) density over [0, t].
 
     g must accept a 1-D numpy array of n u values and return either n
@@ -232,9 +232,8 @@ def integrate_weibull(g: Callable[[np.ndarray], np.ndarray],
     in (lam, gamma, t) and in any parameters of g.  `breakpoints` are u
     values (for instance a known peak of g and its flanks) inserted into
     the initial mesh so a feature much narrower than the default panels
-    is bracketed before any subdivision budget is spent.  With
-    strict=True an exhausted subdivision budget raises ToleranceNotMet
-    instead of flagging.
+    is bracketed before any subdivision budget is spent.  An exhausted
+    subdivision budget sets the result's converged flag to False.
     """
     _check_weibull(lam, gamma)
     if not math.isfinite(t):
@@ -323,9 +322,6 @@ def integrate_weibull(g: Callable[[np.ndarray], np.ndarray],
             q1 = np.stack([left[no], right[no]], axis=1).reshape(-1, width)
             tol = 0.5 * tol
             depth += 1
-    if strict and not converged:
-        raise ToleranceNotMet(
-            f"subdivision budget {cfg.max_subdivisions} exhausted")
     leaves = np.concatenate(leaves) / vmax
     leaves = leaves[np.argsort(leaves[:, 0], kind="stable")]
     fr = tuple((float(lo), float(hi)) for lo, hi in leaves)

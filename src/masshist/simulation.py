@@ -248,12 +248,14 @@ def simulate_design(params: SsbParams,
 
 @dataclass
 class ProtocolResult:
-    """Everything produced by one run of the comparison protocol."""
+    """Everything produced by one run of the comparison protocol; the
+    LRM fit is the one LRM-RE started from."""
 
     theta0: SsbParams
     config: SimConfig
     trajectories: list          # shared-lead-time trajectories at theta0
     dataset: CountDataset
+    lrm_fit: "FitResult"
     ssb_fit: "FitResult"
     re_fit: "FitResult"
     re_params: ReParams
@@ -266,20 +268,20 @@ class ProtocolResult:
 
 def run_protocol(theta0: SsbParams, config: SimConfig,
                  fit_config: Optional["FitConfig"] = None) -> ProtocolResult:
-    """Simulate at theta0, sacrifice into counts, fit both the shared-
-    lead-time model and the random-effects logistic to the counts, then
-    simulate the fitted random-effects model.
+    """Simulate at theta0, sacrifice into counts, fit LRM, LRM-RE and
+    SSB to the counts through fit_models, then simulate the fitted
+    random-effects model.
 
     Sub-streams: those of simulate_design, plus (seed, 2, i) for
     random-effects trajectory i.
     """
-    from .estimation import FitConfig, fit_model  # deferred, avoids cycle
+    from .estimation import FitConfig, fit_models  # deferred, avoids cycle
     from .core import ModelKind
 
     cfg = fit_config or FitConfig(compute_se=False)
     trajs, data = simulate_design(theta0, config)
-    ssb_fit = fit_model(data, ModelKind.SSB, cfg)
-    re_fit = fit_model(data, ModelKind.LRM_RE, cfg)
+    lrm_fit, re_fit, ssb_fit = fit_models(
+        data, (ModelKind.LRM, ModelKind.LRM_RE, ModelKind.SSB), cfg)
     re_params = ReParams(mu1=re_fit.estimates["mu1"],
                          mu2=re_fit.estimates["mu2"],
                          rho=re_fit.estimates["rho"],
@@ -290,5 +292,6 @@ def run_protocol(theta0: SsbParams, config: SimConfig,
                                        substream(config.seed, 2, i))
                 for i in range(config.n_trajectories)]
     return ProtocolResult(theta0=theta0, config=config, trajectories=trajs,
-                          dataset=data, ssb_fit=ssb_fit, re_fit=re_fit,
-                          re_params=re_params, re_trajectories=re_trajs)
+                          dataset=data, lrm_fit=lrm_fit, ssb_fit=ssb_fit,
+                          re_fit=re_fit, re_params=re_params,
+                          re_trajectories=re_trajs)

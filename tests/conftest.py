@@ -18,7 +18,7 @@ import pytest
 
 import masshist
 from masshist.core import ModelKind, SsbParams, read_count_csv
-from masshist.estimation import FitConfig, fit_model
+from masshist.estimation import FitConfig, fit_models
 from masshist.simulation import (SimConfig, simulate_design,
                                  simulate_trajectory, substream)
 
@@ -80,11 +80,12 @@ def ssb_ensemble_2000(theta0):
 
 @pytest.fixture(scope="session")
 def sim_fits(sim_dataset):
-    """All four fixed-parameter models fitted to the simulated design."""
-    cfg = FitConfig(compute_se=False)
-    return {m: fit_model(sim_dataset, m, cfg)
-            for m in (ModelKind.LRM, ModelKind.LRM_PLUS, ModelKind.SSB,
-                      ModelKind.SSB_PLUS)}
+    """All four fixed-parameter models fitted to the simulated design,
+    each once: LRM+ and SSB+ reuse the LRM and SSB fits."""
+    models = (ModelKind.LRM, ModelKind.LRM_PLUS, ModelKind.SSB,
+              ModelKind.SSB_PLUS)
+    fits = fit_models(sim_dataset, models, FitConfig(compute_se=False))
+    return {f.model: f for f in fits}
 
 
 @pytest.fixture(scope="session")

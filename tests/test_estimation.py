@@ -7,26 +7,30 @@ fixed-mesh sweeps that the batched kernel replaced.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.special import expit, log_expit, logsumexp
 
+from conftest import make_protocol_dataset
+from masshist import estimation
 from masshist.core import CountDataset, FitResult, ModelKind, SsbParams
 from masshist.errors import (DomainError, InsufficientTimes, MissingBaseline,
                              NoFiniteMle, SingularInformation)
-from masshist.estimation import (FitConfig, GridAxis, GridSpec, _DatasetTables,
-                                 _log_sigmoid, _logsumexp_last, _mesh_loglik,
+from masshist.estimation import (MODEL_ORDER, FitConfig, GridAxis, GridSpec,
+                                 _DatasetTables, _log_sigmoid,
+                                 _logsumexp_last, _mesh_loglik,
                                  bic_delta, current_status_loglik,
                                  default_logistic_grid,
-                                 fit_model, grid_refine_max,
+                                 fit_model, fit_models, grid_refine_max,
                                  grid_search_logistic,
                                  initial_weibull_estimate,
                                  observed_information, profile_iterate,
                                  std_errors_from_information)
 from masshist.likelihood import (_log_failure, _log_success,
                                  frozen_dataset_loglik, ssb_dataset_loglik)
-from masshist.quadrature import weibull_logpdf
+from masshist.quadrature import QuadConfig, weibull_logpdf
 
 
 def axis(name, lo, hi, n, log=False):
@@ -470,6 +474,71 @@ class TestFitModel:
         assert est["beta"] == pytest.approx(theta0.beta, abs=0.02)
         assert 2.5 < est["lambda"] < 6.0
         assert 0.9 < est["gamma"] < 2.3
+
+
+# an 8-node Gauss-Hermite rule keeps the LRM-RE searches cheap; nesting
+# does not depend on the quadrature
+COARSE_RE = FitConfig(quad=QuadConfig(gh_nodes=8))
+
+
+@pytest.fixture(scope="module")
+def nested_run():
+    """fit_models over all five models, with standard errors, on a
+    small design where SSB+ falls back to SSB; every family search it
+    runs is recorded."""
+    data = make_protocol_dataset(seed=3, mass=30, horizon=24,
+                                 schedule=(2.0, 8.0, 24.0), group_size=3)[1]
+    searched = []
+    search = estimation._search
+
+    def recording(data, model, cfg, sub):
+        searched.append(model)
+        return search(data, model, cfg, sub)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimation, "_search", recording)
+        fits = fit_models(data, list(reversed(MODEL_ORDER)), COARSE_RE)
+    return data, fits, searched
+
+
+class TestFitModels:
+    def test_each_model_is_searched_once(self, nested_run):
+        _, fits, searched = nested_run
+        assert [f.model for f in fits] == list(MODEL_ORDER)
+        assert Counter(searched) == Counter(MODEL_ORDER)
+
+    def test_equals_separate_fit_model_calls(self, nested_run):
+        data, fits, _ = nested_run
+        assert fits[-1].trace[-1]["stage"] == "boundary_eta"
+        for fit in fits:
+            alone = fit_model(data, fit.model, COARSE_RE)
+            assert fit.std_errors is not None
+            assert alone.estimates == fit.estimates
+            assert alone.loglik == fit.loglik
+            assert alone.converged == fit.converged
+            assert alone.std_errors == fit.std_errors
+            assert alone.trace == fit.trace
+
+    def test_lrm_plus_on_saturated_counts_quotes_the_lrm_fit(self):
+        # every count at the last three times is the whole mass, so the
+        # free eta runs to 1 and LRM+ must quote LRM itself
+        data = binomial_logistic_data(17, alpha=-2.0, beta=0.5)
+        assert set(sum(data.counts[-3:], ())) == {300}
+        lrm = fit_model(data, ModelKind.LRM)
+        plus = fit_model(data, ModelKind.LRM_PLUS)
+        assert plus.estimates == {**lrm.estimates, "eta": 1.0}
+        assert plus.loglik == lrm.loglik
+        assert plus.trace[-1]["stage"] == "boundary_eta"
+        assert plus.std_errors["eta"] is None
+
+    def test_wrong_submodel_rejected(self):
+        data = binomial_logistic_data(17, alpha=-2.0, beta=0.1)
+        for model, sub in ((ModelKind.LRM_PLUS, "ssb"),
+                           (ModelKind.LRM_RE, "lrm_plus"),
+                           (ModelKind.SSB_PLUS, "lrm"),
+                           (ModelKind.LRM, "lrm")):
+            with pytest.raises(DomainError):
+                fit_model(data, model, sub=fake_fit(sub, -1.0))
 
 
 class TestObservedInformation:

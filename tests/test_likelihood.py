@@ -24,8 +24,8 @@ from masshist.likelihood import (delta_factor, frozen_dataset_loglik,
                                  marginal_count_pmf, mc_count_pmf, re_loglik,
                                  ssb_count_loglik, ssb_dataset_loglik)
 from masshist.likelihood import (_binom_kernel_peak, _counts_loglik,
-                                 _kernel_breakpoints, _log_binom_coef,
-                                 _log_failure, _log_success)
+                                 _log_binom_coef, _log_failure, _log_success,
+                                 _shared_breakpoints)
 from masshist.quadrature import (DEFAULT_QUAD, QuadConfig, integrate_weibull,
                                  weibull_cdf, weibull_logsf)
 
@@ -116,8 +116,8 @@ def _count_loglik_ref(p, mass, t, k, cfg=DEFAULT_QUAD, panels=None):
         return np.exp(lg - shift)
 
     shift = _binom_kernel_peak(a, b, t, mass, k, eta)
-    breaks = None if panels is not None else _kernel_breakpoints(
-        a, b, t, mass, k, eta)
+    breaks = None if panels is not None else _shared_breakpoints(
+        a, b, t, mass, [k], eta)
     res = integrate_weibull(lambda u: kernel(u, shift), lam, gam, t, cfg,
                             panels=panels, breakpoints=breaks)
     log_int = shift + math.log(res.value) if res.value > 0.0 else -np.inf

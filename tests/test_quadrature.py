@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from masshist.errors import DomainError, ToleranceNotMet
+from masshist.errors import DomainError
 from masshist.quadrature import (DEFAULT_QUAD, QuadConfig, fixed_u_panels,
                                  integrate_weibull, weibull_cdf,
                                  weibull_logpdf, weibull_logsf, weibull_ppf)
@@ -202,13 +202,11 @@ class TestIntegrateWeibull:
         expected = math.exp(weibull_logpdf(u0, lam, gamma)) * w * math.sqrt(math.pi)
         assert res.value == pytest.approx(expected, rel=1e-6)
 
-    def test_budget_exhaustion_flags_and_strict_raises(self):
+    def test_budget_exhaustion_flags_unconverged(self):
         cfg = QuadConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=2)
         g = lambda u: np.cos(50.0 * u ** 2)
         res = integrate_weibull(g, 1.0, 1.0, 30.0, config=cfg)
-        assert not res.converged
-        with pytest.raises(ToleranceNotMet):
-            integrate_weibull(g, 1.0, 1.0, 30.0, config=cfg, strict=True)
+        assert res.converged is False
 
     @pytest.mark.parametrize("case", range(len(SCALAR_CASES)))
     def test_panels_match_depth_first_refinement(self, case):
@@ -276,14 +274,12 @@ class TestVectorIntegrand:
         assert res.converged and np.array_equal(res.value,
                                                 np.zeros(len(self.GS)))
 
-    def test_budget_exhaustion_flags_and_strict_raises(self):
+    def test_budget_exhaustion_flags_unconverged(self):
         cfg = QuadConfig(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=2)
         g = _stacked([ONE, lambda u: np.cos(50.0 * u ** 2)])
         res = integrate_weibull(g, 1.0, 1.0, 30.0, config=cfg)
-        assert not res.converged
+        assert res.converged is False
         assert res.value.shape == (2,)
-        with pytest.raises(ToleranceNotMet):
-            integrate_weibull(g, 1.0, 1.0, 30.0, config=cfg, strict=True)
 
 
 class TestFixedPanels:

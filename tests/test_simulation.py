@@ -16,7 +16,7 @@ from masshist.analysis import cross_section
 from masshist.core import ModelKind, ReParams, SsbParams, Trajectory
 from masshist.errors import (DomainError, RejectionBudgetExceeded,
                              SizeMismatch)
-from masshist.estimation import FitConfig
+from masshist.estimation import FitConfig, fit_model
 from masshist.quadrature import integrate_weibull, weibull_cdf
 from masshist.simulation import (SimConfig, action_time_from_uniform,
                                  lead_time_from_uniform, run_protocol,
@@ -291,3 +291,5 @@ class TestRunProtocol:
         assert res.re_fit.model is ModelKind.LRM_RE
         assert res.re_fit.n_params == 5
         assert res.log_lr == res.ssb_fit.loglik - res.re_fit.loglik
+        assert res.lrm_fit == fit_model(res.dataset, ModelKind.LRM,
+                                        FitConfig(compute_se=False))
