@@ -16,6 +16,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import CsvFormatError, DomainError
 
@@ -24,6 +25,7 @@ __all__ = [
     "SsbParams",
     "ReParams",
     "CountDataset",
+    "CellTable",
     "Trajectory",
     "FitResult",
     "validate_params",
@@ -167,6 +169,10 @@ class CountDataset:
               simply absent, so columns may have different lengths).
     mass:     number of individuals per group; every count must lie in
               [0, mass].
+
+    The likelihoods read the dataset through its cell table (`cells`):
+    the distinct (t, k) cells with their multiplicities and binomial
+    coefficients, built once on first use.
     """
 
     schedule: tuple[float, ...]
@@ -209,23 +215,81 @@ class CountDataset:
             for k in col:
                 yield t, k
 
-    def grouped(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
-        """Per time: (t, distinct counts, multiplicities).
+    @property
+    def cells(self) -> CellTable:
+        """The dataset's cell table, built on first use and kept: the
+        dataset is frozen, so every likelihood evaluation reads the same
+        arrays."""
+        table = self.__dict__.get("_cells")
+        if table is None:
+            table = _cell_table(self)
+            self.__dict__["_cells"] = table
+        return table
 
-        Likelihoods are sums over observations, so identical (t, k)
-        cells are collapsed once here instead of re-integrated.
-        """
-        out = []
-        for t, col in zip(self.schedule, self.counts):
-            if not col:
-                continue
-            ks, mult = np.unique(np.asarray(col, dtype=np.int64),
-                                 return_counts=True)
-            out.append((t, ks, mult))
-        return out
+    def grouped(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
+        """Per time with observations: (t, distinct counts ascending,
+        multiplicities), as read-only views into the cell table."""
+        c = self.cells
+        return [(float(t), c.k[a:b], c.mult[a:b])
+                for t, a, b in zip(c.times, c.starts[:-1], c.starts[1:])]
 
     def n_distinct_times(self) -> int:
-        return sum(1 for col in self.counts if col)
+        return self.cells.times.size
+
+
+@dataclass(frozen=True)
+class CellTable:
+    """A CountDataset's distinct (t, k) cells, in time order and by
+    ascending count within a time; likelihoods are sums over
+    observations, so each cell is evaluated once and weighted by its
+    multiplicity.
+
+    t, k, mult, logc: per cell, the time, the count, how many groups
+                      showed it, and log C(mass, k).
+    times:            the times with at least one observation.
+    starts:           cells starts[j]:starts[j+1] belong to times[j];
+                      len(times) + 1 entries.
+    time_index:       per cell, the index of its time in `times`.
+    All arrays are read-only.
+    """
+
+    t: np.ndarray
+    k: np.ndarray
+    mult: np.ndarray
+    logc: np.ndarray
+    times: np.ndarray
+    starts: np.ndarray
+    time_index: np.ndarray
+
+    @property
+    def n_cells(self) -> int:
+        return self.k.size
+
+
+def _cell_table(data: CountDataset) -> CellTable:
+    """Collapse data's observations into its CellTable."""
+    times, ks, mults = [], [], []
+    for t, col in zip(data.schedule, data.counts):
+        if col:
+            k, m = np.unique(np.asarray(col, dtype=np.int64),
+                             return_counts=True)
+            times.append(t)
+            ks.append(k)
+            mults.append(m)
+    sizes = np.array([k.size for k in ks], dtype=np.int64)
+    times = np.array(times, dtype=float)
+    time_index = np.repeat(np.arange(times.size), sizes)
+    none = np.zeros(0, dtype=np.int64)
+    k = np.concatenate([none, *ks])
+    mult = np.concatenate([none, *mults])
+    mass = data.mass
+    logc = gammaln(mass + 1) - gammaln(k + 1) - gammaln(mass - k + 1)
+    arrays = dict(t=times[time_index], k=k, mult=mult, logc=logc,
+                  times=times, starts=np.concatenate(([0], np.cumsum(sizes))),
+                  time_index=time_index)
+    for a in arrays.values():
+        a.flags.writeable = False
+    return CellTable(**arrays)
 
 
 @dataclass(frozen=True)

@@ -22,17 +22,21 @@ stage 1 lands (lambda, gamma) close to the joint optimum and the polish
 reaches it from there.  The grid stage and the polish evaluate the
 likelihood with one kernel, _mesh_loglik: a fixed composite
 Gauss-Legendre mesh in u (one mesh per observation time, reused for
-every parameter combination), evaluated over a whole batch of parameter
-points with every count of an observation time in the same array
-passes.  A full (alpha, beta) grid is then a few hundred cache-sized
-blocks of array passes instead of thousands of adaptive integrations.
-The polish replaces the grid point only on a strict improvement, so the
-likelihood trace is nondecreasing; the final quoted log-likelihood is
-recomputed with the adaptive rule.
+every parameter combination) laid against the dataset's cell table
+(CountDataset.cells), so that one block of array passes covers every
+(t, k) cell of the dataset for a block of parameter points.  A full
+(alpha, beta) grid is then a few dozen cache-sized blocks, and a polish
+step a few dozen numpy calls, instead of thousands of adaptive
+integrations.  The polish replaces the grid point only when it beats
+that point as the polish itself evaluates it, so the likelihood trace is
+nondecreasing; the final quoted log-likelihood is recomputed with the
+adaptive rule.
 
 The logistic families (plain, extended, random effects) are smooth
 low-dimensional problems and go through Nelder-Mead from a coarse grid
-start, in transformed coordinates that keep them inside their domains.
+start, in transformed coordinates that keep them inside their domains;
+each of their objectives is one array pass over the cell table
+(lrm_loglik, re_loglik).
 """
 from __future__ import annotations
 
@@ -48,9 +52,8 @@ from scipy.special import expit, logit
 from .core import CountDataset, FitResult, ModelKind, ReParams, SsbParams
 from .errors import (DomainError, InsufficientTimes, MissingBaseline,
                      NoFiniteMle, SingularInformation)
-from .likelihood import (_log_binom_coef, frozen_dataset_loglik,
-                         lrm_count_logpmf, lrm_loglik, re_loglik,
-                         ssb_dataset_loglik)
+from .likelihood import (_lrm_cells, frozen_dataset_loglik, lrm_loglik,
+                         re_loglik, ssb_dataset_loglik)
 from .quadrature import DEFAULT_QUAD, QuadConfig, fixed_u_panels
 
 log = logging.getLogger(__name__)
@@ -241,25 +244,59 @@ def grid_refine_max(f: Callable[..., np.ndarray],
 
 
 class _DatasetTables:
-    """Per-time quadrature nodes and collapsed count multiplicities,
-    shared by the grid stage and the polish over one dataset."""
+    """The fixed u-mesh behind the grid stage and the polish, laid
+    against one dataset's cell table (CountDataset.cells).
+
+    The meshes of all observation times are concatenated into one node
+    axis holding u, lag = t - u and the log weight of each node.  Each
+    cell pairs with every node of its time.  For a block of n parameter
+    points the pairs lie on one flat axis, time by time, each time's
+    part an (n x cells x nodes) array; `blocks` holds, per time, its
+    node slice, its counts as a column and its pair range per point.
+    layout(n) gives, for that axis, where each (time, point, cell) run
+    of pairs starts, its length, and which run holds each (point, cell).
+    """
 
     def __init__(self, data: CountDataset):
+        cells = data.cells
         self.mass = data.mass
-        self.n_obs = data.n_obs
-        self.entries = []
-        for t, ks, mult in data.grouped():
-            u, w = fixed_u_panels(t, _ENGINE_SPACING)
-            ks = ks.astype(float)
-            self.entries.append({
-                "t": float(t),
-                "u": u,
-                "logw": np.log(w),
-                "ks": ks,
-                "mult": mult.astype(float),
-                "logc": np.array([_log_binom_coef(self.mass, int(k))
-                                  for k in ks]),
-            })
+        self.times = cells.times
+        meshes = [fixed_u_panels(float(t), _ENGINE_SPACING)
+                  for t in cells.times]
+        self.u = np.concatenate([u for u, _ in meshes] + [np.zeros(0)])
+        self.lag = np.concatenate([t - u for t, (u, _) in
+                                   zip(cells.times, meshes)] + [np.zeros(0)])
+        self.logw = np.log(np.concatenate([w for _, w in meshes]
+                                          + [np.ones(0)]))
+        self.n_nodes = np.array([u.size for u, _ in meshes], dtype=np.int64)
+        self.n_counts = np.diff(cells.starts)
+        node_starts = np.cumsum(self.n_nodes) - self.n_nodes
+        pairs = self.n_counts * self.n_nodes
+        self.n_pairs = int(pairs.sum())
+        k = cells.k.astype(float)
+        self.blocks = [(slice(n0, n0 + nn), k[c0:c1, None], p0, p0 + np_)
+                       for n0, nn, c0, c1, p0, np_ in zip(
+                           node_starts, self.n_nodes, cells.starts[:-1],
+                           cells.starts[1:], np.cumsum(pairs) - pairs, pairs)]
+        self.n_cells = cells.n_cells
+        self.cell_time = cells.time_index
+        self.first_cell = cells.starts[:-1][cells.time_index]
+        self.zero = cells.k == 0
+        self.logc = cells.logc
+        self.mult = cells.mult.astype(float)
+        self._layouts: dict[int, tuple] = {}
+
+    def layout(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, run, run_of) for a block of n points: the runs in
+        pair-axis order, and run_of[p, c], the run of cell c at point p."""
+        if n not in self._layouts:
+            run = np.repeat(self.n_nodes, n * self.n_counts)
+            first = self.first_cell
+            run_of = (n * first + np.arange(n)[:, None]
+                      * self.n_counts[self.cell_time]
+                      + np.arange(self.n_cells) - first)
+            self._layouts[n] = (np.cumsum(run) - run, run, run_of)
+        return self._layouts[n]
 
 
 # exp() of anything below this adds under 1e-300 to a sum whose largest
@@ -269,9 +306,9 @@ class _DatasetTables:
 # logistic sweep lie down there
 _EXP_FLOOR = -700.0
 
-# elements per (points x counts x nodes) block in _mesh_loglik: 512 KB
-# of doubles, so a block and its temporaries stay near cache size
-_BLOCK = 1 << 16
+# elements per (points x pairs) block in _mesh_loglik: 1 MB of doubles,
+# so a block and its temporaries stay within a core's L2 cache
+_BLOCK = 1 << 17
 
 
 def _log_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -285,17 +322,21 @@ def _log_sigmoid(z: np.ndarray) -> np.ndarray:
     return np.subtract(np.minimum(z, 0.0), e, out=e)
 
 
-def _logsumexp_last(x: np.ndarray) -> np.ndarray:
-    """log(sum(exp(x))) along the last axis, overwriting x.  Terms more
-    than 700 nats (-_EXP_FLOOR) below their row's maximum are raised to
-    that floor before exp; an all -inf row gives -inf."""
-    m = x.max(axis=-1)
+def _segment_logsumexp(x: np.ndarray, starts: np.ndarray,
+                       run: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) over each run of the last axis, overwriting x.
+    Run j covers run[j] >= 1 elements from starts[j]; the runs tile the
+    axis in order.  Terms more than 700 nats (-_EXP_FLOOR) below their
+    run's maximum are raised to that floor before exp; a run of -inf
+    gives -inf."""
+    m = np.maximum.reduceat(x, starts, axis=-1)
     finite = np.isfinite(m)
     shift = np.where(finite, m, 0.0)
-    x -= shift[..., None]
+    x -= np.repeat(shift, run, axis=-1)
     np.maximum(x, _EXP_FLOOR, out=x)
     np.exp(x, out=x)
-    return np.where(finite, np.log(x.sum(axis=-1)) + shift, m)
+    return np.where(finite,
+                    np.log(np.add.reduceat(x, starts, axis=-1)) + shift, m)
 
 
 def _mesh_loglik(tables: _DatasetTables, alpha, beta, lam, gamma,
@@ -303,13 +344,15 @@ def _mesh_loglik(tables: _DatasetTables, alpha, beta, lam, gamma,
     """Fixed-mesh dataset log-likelihood over a batch of parameter points.
 
     alpha, beta, lam and gamma broadcast together to the batch shape S;
-    the result has shape S + (len(etas),).  Each observation time
-    computes z = alpha + beta (t - u) and its log-sigmoid once and loops
-    over eta inside; all counts of the time then share each array pass,
-    taken over blocks of (points x counts x nodes) of at most _BLOCK
-    elements (or one node row, if that is longer).  This one kernel
-    serves the logistic sweep and the single-point polish, so their
-    values are directly comparable.
+    the result has shape S + (len(etas),).  The log lead-time density
+    and survival are computed once per (lam, gamma).  The points then go
+    in blocks of at most _BLOCK (points x pairs) elements (or one point,
+    if that is more): per block, z = alpha + beta (t - u) and its
+    log-sigmoid are computed once over all nodes of all times; per eta,
+    each time's node terms are spread over its (cells x nodes) block of
+    the pair axis, and one segmented log-sum-exp gives every cell's
+    integral.  This one kernel serves the logistic sweep and the
+    single-point polish.
     """
     alpha, beta, lam, gamma = (np.asarray(v, dtype=float)[..., None]
                                for v in (alpha, beta, lam, gamma))
@@ -325,26 +368,29 @@ def _mesh_loglik(tables: _DatasetTables, alpha, beta, lam, gamma,
         return x.reshape(n_points, -1)
 
     out = np.zeros((n_points, etas.size))
+    if tables.n_cells == 0:
+        return out.reshape(shape + (etas.size,))
     mass = tables.mass
-    log_scale = np.log(gamma) - np.log(lam)
-    for e in tables.entries:
-        t, u = e["t"], e["u"]
-        ks, mult, logc = e["ks"], e["mult"], e["logc"]
-        zero = ks == 0
-        r = u / lam
-        logfu = (log_scale + (gamma - 1.0) * np.log(r) - r ** gamma
-                 + e["logw"])
-        log_sf = rows(-(t / lam) ** gamma)
-        z = alpha + beta * (t - u)
+    r = tables.u / lam
+    logfu = rows(np.log(gamma) - np.log(lam) + (gamma - 1.0) * np.log(r)
+                 - r ** gamma + tables.logw)
+    log_sf = rows(-(tables.times / lam) ** gamma)
+    alpha, beta = rows(alpha), rows(beta)
+    n_p = max(1, _BLOCK // tables.n_pairs)
+    for p in range(0, n_points, n_p):
+        pts = slice(p, p + n_p)
+        z = alpha[pts] + beta[pts] * tables.lag
         ls1 = _log_sigmoid(z)
-        n_k = min(ks.size, max(1, _BLOCK // u.size))
-        n_p = max(1, _BLOCK // (n_k * u.size))
+        n = z.shape[0]
+        starts, run, run_of = tables.layout(n)
+        lg = np.empty(n * tables.n_pairs)
+        log_sf_cells = np.take(log_sf[pts], tables.cell_time, axis=1)
         for i, eta in enumerate(etas):
             if eta == 0.0:
                 # nothing can succeed: a positive count has probability
                 # 0 and a zero count probability 1
-                if not zero.all():
-                    out[:, i] = -np.inf
+                if not tables.zero.all():
+                    out[pts, i] = -np.inf
                 continue
             # k successes weigh mass * log(1 - p) + k * logit(p)
             if eta >= 1.0:
@@ -352,23 +398,31 @@ def _mesh_loglik(tables: _DatasetTables, alpha, beta, lam, gamma,
             else:
                 lf = np.log1p(-eta * np.exp(ls1))
                 lodds = ls1 + math.log(eta) - lf
-            base = rows(logfu + mass * lf)[:, None, :]
-            lodds = rows(lodds)[:, None, :]
-            for p in range(0, n_points, n_p):
-                pts = slice(p, p + n_p)
-                for c in range(0, ks.size, n_k):
-                    cts = slice(c, c + n_k)
-                    lg = ks[cts, None] * lodds[pts]
-                    lg += base[pts]
-                    li = _logsumexp_last(lg)
-                    ll = np.where(zero[cts], np.logaddexp(log_sf[pts], li),
-                                  logc[cts] + li)
-                    out[pts, i] += ll @ mult[cts]
+            base = logfu[pts] + mass * lf
+            for nodes, ks, p0, p1 in tables.blocks:
+                blk = lg[n * p0:n * p1].reshape(n, ks.size, -1)
+                np.multiply(ks, lodds[:, None, nodes], out=blk)
+                blk += base[:, None, nodes]
+            li = np.take(_segment_logsumexp(lg, starts, run), run_of)
+            ll = np.where(tables.zero, np.logaddexp(log_sf_cells, li),
+                          tables.logc + li)
+            out[pts, i] = ll @ tables.mult
     return out.reshape(shape + (etas.size,))
 
 
 # ---------------------------------------------------------------------------
 # stage 1: current-status fit of the lead time
+
+
+def _zero_split(data: CountDataset) -> tuple[np.ndarray, ...]:
+    """The times with observations and, per time, how many groups showed
+    a zero count and how many a positive one, from data's cell table."""
+    c = data.cells
+    n_times = c.times.size
+    zero = c.k == 0
+    n_zero = np.bincount(c.time_index[zero], c.mult[zero], n_times)
+    n_pos = np.bincount(c.time_index[~zero], c.mult[~zero], n_times)
+    return c.times, n_zero, n_pos
 
 
 def current_status_loglik(data: CountDataset, lams, gammas) -> np.ndarray:
@@ -377,14 +431,7 @@ def current_status_loglik(data: CountDataset, lams, gammas) -> np.ndarray:
     log F(t).  Vectorized over a (lambda, gamma) grid; shape (L, G)."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
-    times, n_zero, n_pos = [], [], []
-    for t, ks, mult in data.grouped():
-        times.append(t)
-        n_zero.append(float(mult[ks == 0].sum()))
-        n_pos.append(float(mult[ks > 0].sum()))
-    times = np.asarray(times)
-    n_zero = np.asarray(n_zero)
-    n_pos = np.asarray(n_pos)
+    times, n_zero, n_pos = _zero_split(data)
     q = (times[None, None, :] / lams[:, None, None]) ** gammas[None, :, None]
     with np.errstate(divide="ignore"):
         log_f = np.log(-np.expm1(-q))
@@ -400,20 +447,16 @@ def initial_weibull_estimate(data: CountDataset) -> tuple[float, float]:
     InsufficientTimes when fewer than two distinct times carry
     observations.
     """
-    total_zero = total_pos = 0
-    for _, ks, mult in data.grouped():
-        total_zero += int(mult[ks == 0].sum())
-        total_pos += int(mult[ks > 0].sum())
-    if total_zero == 0 or total_pos == 0:
+    t_obs, n_zero, n_pos = _zero_split(data)
+    if n_zero.sum() == 0 or n_pos.sum() == 0:
         raise NoFiniteMle(
             "current-status likelihood needs both zero and positive counts")
-    if data.n_distinct_times() < 2:
+    if t_obs.size < 2:
         raise InsufficientTimes(
             "lead-time shape and scale need observations at two or more "
             "distinct times")
-    t_obs = [t for t, _, _ in data.grouped()]
     spec = GridSpec(axes=(
-        GridAxis("lambda", 0.2 * min(t_obs), 10.0 * max(t_obs), 41, log=True),
+        GridAxis("lambda", 0.2 * t_obs[0], 10.0 * t_obs[-1], 41, log=True),
         GridAxis("gamma", 0.1, 10.0, 41, log=True),
     ), refine_levels=3, shrink=0.2)
     res = grid_refine_max(lambda l, g: current_status_loglik(data, l, g), spec)
@@ -498,9 +541,8 @@ def profile_iterate(data: CountDataset, lam0: float, gamma0: float,
     trace: list[dict] = [{"stage": "logistic", "value": value,
                           "alpha": alpha, "beta": beta, "eta": eta}]
 
-    t_obs = [e["t"] for e in tables.entries]
-    lam_lo = _LAM_LO_FACTOR * min(t_obs)
-    lam_hi = _LAM_HI_FACTOR * max(t_obs)
+    lam_lo = _LAM_LO_FACTOR * tables.times[0]
+    lam_hi = _LAM_HI_FACTOR * tables.times[-1]
     free_eta = with_eta and eta < 1.0 - 1e-9
 
     def unpack(x):
@@ -517,7 +559,11 @@ def profile_iterate(data: CountDataset, lam0: float, gamma0: float,
     x0 = [alpha, math.log(beta), math.log(lam), math.log(gamma)]
     if free_eta:
         x0.append(float(logit(eta)))
-    res = _nelder_mead(nll, np.asarray(x0))
+    x0 = np.asarray(x0)
+    # the grid point as the polish evaluates it, so that rounding in the
+    # batched sweep or in the log/exp round trip cannot decide the test
+    value = -nll(x0)
+    res = _nelder_mead(nll, x0)
     cand = -float(res.fun)
     if math.isfinite(cand) and cand > value:
         alpha, beta, lam, gamma, eta = unpack(res.x)
@@ -610,10 +656,8 @@ def _lrm_grid_scan(data: CountDataset, etas: np.ndarray) -> tuple:
     betas = np.geomspace(1e-3, 5.0, 41)
     best = (-math.inf, None)
     for eta in etas:
-        acc = sum(lrm_count_logpmf(alphas[:, None, None],
-                                   betas[None, :, None], float(eta),
-                                   data.mass, t, ks) @ mult
-                  for t, ks, mult in data.grouped())
+        acc = _lrm_cells(alphas[:, None, None], betas[None, :, None],
+                         float(eta), data) @ data.cells.mult
         idx = np.unravel_index(int(np.argmax(acc)), acc.shape)
         if float(acc[idx]) > best[0]:
             best = (float(acc[idx]),

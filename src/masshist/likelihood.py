@@ -21,6 +21,7 @@ still return a finite log-likelihood.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -345,15 +346,29 @@ def lrm_count_logpmf(alpha: float, beta: float, eta: float,
     return float(out) if out.ndim == 0 else out
 
 
+def _lrm_cells(alpha, beta, eta: float, data: CountDataset) -> np.ndarray:
+    """log Pr[N(t) = k] under the plain logistic model for every cell of
+    data's cell table (last axis), broadcast over alpha and beta; the
+    cell-table form of lrm_count_logpmf."""
+    c = data.cells
+    if eta == 0.0:
+        return np.broadcast_to(np.where(c.k == 0, 0.0, -np.inf),
+                               np.broadcast_shapes(np.shape(alpha),
+                                                   np.shape(beta), c.k.shape))
+    z = alpha + beta * c.t
+    with np.errstate(invalid="ignore"):
+        succ = np.where(c.k > 0, c.k * _log_success(z, eta), 0.0)
+        fail = np.where(c.k < data.mass,
+                        (data.mass - c.k) * _log_failure(z, eta), 0.0)
+    return c.logc + succ + fail
+
+
 def lrm_loglik(alpha: float, beta: float, data: CountDataset,
                eta: float = 1.0) -> float:
     """Dataset log-likelihood of the plain logistic model (closed
-    form)."""
-    total = 0.0
-    for t, ks, mult in data.grouped():
-        lls = lrm_count_logpmf(alpha, beta, eta, data.mass, t, ks)
-        total += float(np.dot(mult, lls))
-    return total
+    form): one array pass over data's cell table, each cell weighted by
+    its multiplicity."""
+    return float(_lrm_cells(alpha, beta, eta, data) @ data.cells.mult)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +442,17 @@ def _re_batch_loglik(mz: np.ndarray, vz: np.ndarray, ks: np.ndarray,
             - 0.5 * np.log(2.0 * math.pi * vz))
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and log weights of the Gauss-Hermite rule of `order`,
+    built once per order (read-only)."""
+    x, w = hermgauss(order)
+    logw = np.log(w)
+    x.flags.writeable = False
+    logw.flags.writeable = False
+    return x, logw
+
+
 def re_loglik(params: ReParams, data: CountDataset,
               config: Optional[QuadConfig] = None) -> float:
     """Dataset log-likelihood when each group draws its own
@@ -434,36 +460,24 @@ def re_loglik(params: ReParams, data: CountDataset,
 
     Each observation depends on the pair only through z = a + b*t, which
     is itself normal, so the double integral collapses to one dimension
-    per observation; that integral is done by Gauss-Hermite centered on
-    the integrand's mode and scaled by its curvature there, for all
-    observations in one batch (_re_batch_loglik), with the node sum in
+    per cell of data's cell table; that integral is done by Gauss-Hermite
+    centered on the integrand's mode and scaled by its curvature there,
+    for all cells in one batch (_re_batch_loglik), with the node sum in
     log space so deep tails cannot underflow."""
     cfg = config or DEFAULT_QUAD
-    gh_x, gh_w = hermgauss(int(cfg.gh_nodes))
-    gh_logw = np.log(gh_w)
-    mass = data.mass
+    c = data.cells
     eta = params.eta
+    if eta == 0.0:
+        # nobody ever acts: the count is 0 with probability one
+        return float(c.mult @ np.where(c.k == 0, 0.0, -np.inf))
+    if c.n_cells == 0:
+        return 0.0
     s1, s2, rho = params.sigma1, params.sigma2, params.rho
-    total = 0.0
-    mzs, vzs, kss, mults, logcs = [], [], [], [], []
-    for t, ks, mult in data.grouped():
-        mz = params.mu1 + params.mu2 * t
-        vz = s1 * s1 + 2.0 * rho * s1 * s2 * t + (s2 * t) ** 2
-        for k, m in zip(ks, mult):
-            k = int(k)
-            if eta == 0.0:
-                total += float(m) * (0.0 if k == 0 else -np.inf)
-                continue
-            mzs.append(mz)
-            vzs.append(vz)
-            kss.append(k)
-            mults.append(float(m))
-            logcs.append(_log_binom_coef(mass, k))
-    if kss:
-        ll = _re_batch_loglik(np.asarray(mzs), np.asarray(vzs),
-                              np.asarray(kss), mass, eta, gh_x, gh_logw)
-        total += float(np.dot(np.asarray(mults), ll + np.asarray(logcs)))
-    return float(total)
+    mz = params.mu1 + params.mu2 * c.t
+    vz = s1 * s1 + 2.0 * rho * s1 * s2 * c.t + (s2 * c.t) ** 2
+    gh_x, gh_logw = _gauss_hermite(int(cfg.gh_nodes))
+    ll = _re_batch_loglik(mz, vz, c.k, data.mass, eta, gh_x, gh_logw)
+    return float(np.dot(c.mult, ll + c.logc))
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,8 @@ __all__ = [
 
 GL_ORDER = 15
 _MAX_DEPTH = 50
-# values per call of the integrand in _gl_values: 512 KB of doubles, the
-# block size of estimation._mesh_loglik
+# values per call of the integrand in _gl_values: 512 KB of doubles, so
+# a call and its temporaries stay near cache size
 _BLOCK = 1 << 16
 # exp(-v) underflows to 0 well before 800; nothing beyond contributes
 # at double precision, and capping keeps vmax finite for any (t, lam,

@@ -16,6 +16,7 @@ scheduled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -177,12 +178,21 @@ def simulate_trajectory(params: SsbParams, mass: int, horizon: int,
     return Trajectory(counts=counts, lead_time=u)
 
 
+@functools.lru_cache(maxsize=16)
+def _re_cholesky(params: ReParams) -> np.ndarray:
+    """The Cholesky factor of params.cov(), computed once per parameter
+    value (read-only)."""
+    chol = np.linalg.cholesky(params.cov())
+    chol.flags.writeable = False
+    return chol
+
+
 def simulate_re_trajectory(params: ReParams, mass: int, horizon: int,
                            rng: np.random.Generator) -> Trajectory:
     """One random-effects group: (alpha, beta) ~ N(mean, cov), redrawn
     until beta > 0 (the action-delay inverse needs a positive slope);
     no lead time, so events start accruing from hour 0."""
-    chol = np.linalg.cholesky(params.cov())
+    chol = _re_cholesky(params)
     mean = params.mean()
     for _ in range(_REJECTION_BUDGET):
         a, b = mean + chol @ rng.standard_normal(2)

@@ -151,6 +151,51 @@ class TestCountDataset:
         assert ks.tolist() == [0, 5]
         assert mult.tolist() == [1, 3]
 
+    @pytest.mark.parametrize("schedule,counts,mass", [
+        # missing cells (ragged columns), k = 0 and k = mass
+        ((2, 4, 8), ((0, 10, 0, 3), (10,), (0, 10, 10, 7, 7, 7)), 10),
+        # a single time
+        ((5,), ((1, 1, 0, 4),), 4),
+        # empty columns, first, middle and last
+        ((1, 2, 3, 4, 5), ((), (2, 0), (), (1,), ()), 2),
+        # mass 1
+        ((3, 6), ((0, 1, 1), (1,)), 1),
+    ])
+    def test_cell_table_matches_per_column_unique(self, schedule, counts,
+                                                  mass):
+        d = CountDataset(schedule=schedule, counts=counts, mass=mass)
+        cells = d.cells
+        want = []
+        for t, col in zip(d.schedule, d.counts):
+            if col:
+                ks, mult = np.unique(np.asarray(col), return_counts=True)
+                want.append((t, ks.tolist(), mult.tolist()))
+        got = [(t, ks.tolist(), mult.tolist()) for t, ks, mult in d.grouped()]
+        assert got == want
+        assert cells.times.tolist() == [t for t, _, _ in want]
+        assert cells.k.tolist() == [k for _, ks, _ in want for k in ks]
+        assert cells.mult.tolist() == [m for _, _, ms in want for m in ms]
+        assert cells.t.tolist() == [t for t, ks, _ in want for _ in ks]
+        assert cells.time_index.tolist() == [
+            j for j, (_, ks, _) in enumerate(want) for _ in ks]
+        assert np.diff(cells.starts).tolist() == [len(ks) for _, ks, _ in want]
+        assert cells.starts[0] == 0 and cells.starts[-1] == cells.n_cells
+        assert int(cells.mult.sum()) == d.n_obs
+        logc = [math.lgamma(mass + 1) - math.lgamma(k + 1)
+                - math.lgamma(mass - k + 1) for k in cells.k.tolist()]
+        assert np.allclose(cells.logc, logc, rtol=1e-13, atol=1e-13)
+        assert d.n_distinct_times() == len(want)
+        for name in ("t", "k", "mult", "logc", "times", "starts",
+                     "time_index"):
+            assert not getattr(cells, name).flags.writeable
+        assert d.cells is cells
+
+    def test_cell_table_of_an_empty_dataset(self):
+        d = CountDataset(schedule=(2.0, 3.0), counts=((), ()), mass=5)
+        assert d.grouped() == []
+        assert d.cells.n_cells == 0 and d.cells.starts.tolist() == [0]
+        assert d.n_distinct_times() == 0
+
     def test_rejects_nonincreasing_schedule(self):
         with pytest.raises(DomainError):
             CountDataset(schedule=(4, 2), counts=((0,), (0,)), mass=10)

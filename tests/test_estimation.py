@@ -11,16 +11,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.special import expit, log_expit, logsumexp
+from scipy.optimize import OptimizeResult
+from scipy.special import expit, gammaln, log_expit, logsumexp
 
 from conftest import make_protocol_dataset
-from masshist import estimation
+from masshist import core, estimation
 from masshist.core import CountDataset, FitResult, ModelKind, SsbParams
 from masshist.errors import (DomainError, InsufficientTimes, MissingBaseline,
                              NoFiniteMle, SingularInformation)
 from masshist.estimation import (MODEL_ORDER, FitConfig, GridAxis, GridSpec,
                                  _DatasetTables, _log_sigmoid,
-                                 _logsumexp_last, _mesh_loglik,
+                                 _mesh_loglik, _segment_logsumexp,
                                  bic_delta, current_status_loglik,
                                  default_logistic_grid,
                                  fit_model, fit_models, grid_refine_max,
@@ -30,7 +31,7 @@ from masshist.estimation import (MODEL_ORDER, FitConfig, GridAxis, GridSpec,
                                  std_errors_from_information)
 from masshist.likelihood import (_log_failure, _log_success,
                                  frozen_dataset_loglik, ssb_dataset_loglik)
-from masshist.quadrature import QuadConfig, weibull_logpdf
+from masshist.quadrature import QuadConfig, fixed_u_panels, weibull_logpdf
 
 
 def axis(name, lo, hi, n, log=False):
@@ -189,7 +190,25 @@ class TestGridSearchLogistic:
 
 # Loop reference for the fixed-mesh kernel: one array pass per count,
 # with the likelihood module's scipy log_expit helpers and an unclamped
-# exp.
+# exp, on per-time meshes and counts collapsed here rather than read
+# from the kernel's tables.
+
+
+def per_time_entries(data):
+    """Per observation time with counts: its fixed mesh and its distinct
+    counts with their multiplicities and log binomial coefficients."""
+    mass = data.mass
+    entries = []
+    for t, col in zip(data.schedule, data.counts):
+        if not col:
+            continue
+        ks, mult = np.unique(np.asarray(col), return_counts=True)
+        u, w = fixed_u_panels(t, estimation._ENGINE_SPACING)
+        logc = gammaln(mass + 1) - gammaln(ks + 1) - gammaln(mass - ks + 1)
+        entries.append({"t": t, "u": u, "logw": np.log(w),
+                        "ks": ks.tolist(), "mult": mult.tolist(),
+                        "logc": logc.tolist()})
+    return entries
 
 
 def _ref_lse_last(x):
@@ -199,15 +218,15 @@ def _ref_lse_last(x):
     return np.where(np.isfinite(m), out + safe, m)
 
 
-def ref_logistic_sweep(tables, lam, gamma, alphas, betas, etas):
+def ref_logistic_sweep(data, lam, gamma, alphas, betas, etas):
     """Dataset log-likelihood on the (alpha, beta, eta) grid at fixed
     lead-time parameters; shape (A, B, E)."""
     A, B, E = len(alphas), len(betas), len(etas)
     out = np.zeros((A, B, E))
-    mass = tables.mass
+    mass = data.mass
     al = np.asarray(alphas, dtype=float)[:, None, None]
     be = np.asarray(betas, dtype=float)[None, :, None]
-    for e in tables.entries:
+    for e in per_time_entries(data):
         t, u = e["t"], e["u"]
         logfu = weibull_logpdf(u, lam, gamma) + e["logw"]
         log_sf = -(t / lam) ** gamma
@@ -232,16 +251,16 @@ def ref_logistic_sweep(tables, lam, gamma, alphas, betas, etas):
     return out
 
 
-def ref_weibull_sweep(tables, alpha, beta, eta, lams, gammas):
+def ref_weibull_sweep(data, alpha, beta, eta, lams, gammas):
     """Dataset log-likelihood on the (lambda, gamma) grid at fixed
     logistic parameters; shape (L, G)."""
     lams = np.asarray(lams, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     out = np.zeros((len(lams), len(gammas)))
-    mass = tables.mass
+    mass = data.mass
     la = lams[:, None, None]
     ga = gammas[None, :, None]
-    for e in tables.entries:
+    for e in per_time_entries(data):
         t, u = e["t"], e["u"]
         z = alpha + beta * (t - u)
         lf = _log_failure(z, eta)
@@ -267,8 +286,19 @@ def assert_matches_reference(got, ref):
     fin = np.isfinite(ref)
     assert np.all(np.isfinite(got[fin]))
     err = np.abs(got[fin] - ref[fin])
-    assert np.all(err <= 1e-9 * (1.0 + np.abs(ref[fin]))), err.max()
+    assert np.all(err <= 1e-12 * (1.0 + np.abs(ref[fin]))), err.max()
     assert np.argmax(got) == np.argmax(ref)
+
+
+# single parameter points (alpha, beta, lambda, gamma, eta); the last one
+# lets nothing succeed
+SINGLE_POINTS = [(-3.0, 0.15, 4.0, 1.5, 1.0), (-3.7, 0.5, 7.8, 0.75, 1.0),
+                 (-3.8, 0.54, 4.8, 0.88, 0.905), (-3.0, 0.15, 4.0, 1.5, 0.0)]
+
+ZERO_MASS_DATA = CountDataset(schedule=(1.0, 3.0, 6.0, 12.0),
+                              counts=((0, 0, 1, 20), (0, 4, 20, 20),
+                                      (0, 9, 13, 20), (20, 20, 20, 17)),
+                              mass=20)
 
 
 class TestMeshKernel:
@@ -282,54 +312,67 @@ class TestMeshKernel:
             ModelKind.SSB_PLUS).axes
         return alpha_ax.values(), beta_ax.values(), eta_ax.values()
 
-    def test_ssb_grid(self, tables, logistic_axes):
+    def test_ssb_grid(self, tables, sim_dataset, logistic_axes):
         alphas, betas, _ = logistic_axes
         got = _mesh_loglik(tables, alphas[:, None], betas[None, :], 4.0, 1.5,
                            (1.0,))
-        ref = ref_logistic_sweep(tables, 4.0, 1.5, alphas, betas, [1.0])
+        ref = ref_logistic_sweep(sim_dataset, 4.0, 1.5, alphas, betas, [1.0])
         assert_matches_reference(got, ref)
 
-    def test_ssb_plus_eta_axis_and_eta_zero(self, tables, logistic_axes):
+    def test_ssb_plus_eta_axis_and_eta_zero(self, tables, sim_dataset,
+                                            logistic_axes):
         alphas, betas, etas = logistic_axes
         etas = np.append(etas, 0.0)
         got = _mesh_loglik(tables, alphas[:, None], betas[None, :], 4.0, 1.5,
                            etas)
-        ref = ref_logistic_sweep(tables, 4.0, 1.5, alphas, betas, etas)
+        ref = ref_logistic_sweep(sim_dataset, 4.0, 1.5, alphas, betas, etas)
         assert np.all(np.isneginf(got[:, :, -1]))
         assert_matches_reference(got, ref)
 
     @pytest.mark.parametrize("gamma", [0.75, 1.5])
     @pytest.mark.parametrize("eta", [1.0, 0.8])
-    def test_lead_time_grid(self, tables, gamma, eta):
+    def test_lead_time_grid(self, tables, sim_dataset, gamma, eta):
         lams = np.geomspace(4.0 / 3.0, 12.0, 15)
         gammas = np.geomspace(gamma / 3.0, 3.0 * gamma, 15)
         got = _mesh_loglik(tables, -3.0, 0.15, lams[:, None],
                            gammas[None, :], (eta,))[:, :, 0]
-        ref = ref_weibull_sweep(tables, -3.0, 0.15, eta, lams, gammas)
+        ref = ref_weibull_sweep(sim_dataset, -3.0, 0.15, eta, lams, gammas)
         assert_matches_reference(got, ref)
 
-    @pytest.mark.parametrize("point", [(-3.0, 0.15, 4.0, 1.5, 1.0),
-                                       (-3.7, 0.5, 7.8, 0.75, 1.0),
-                                       (-3.8, 0.54, 4.8, 0.88, 0.905)])
-    def test_single_point(self, tables, point):
+    @pytest.mark.parametrize("point", SINGLE_POINTS)
+    def test_single_point(self, tables, sim_dataset, point):
         a, b, lam, gamma, eta = point
         got = _mesh_loglik(tables, a, b, lam, gamma, (eta,))
         assert got.shape == (1,)
-        ref = ref_logistic_sweep(tables, lam, gamma, [a], [b], [eta])
+        ref = ref_logistic_sweep(sim_dataset, lam, gamma, [a], [b], [eta])
         assert_matches_reference(got, ref.reshape(1))
 
+    @pytest.mark.parametrize("point", SINGLE_POINTS)
+    def test_single_point_on_zero_and_mass_counts(self, point):
+        a, b, lam, gamma, eta = point
+        got = _mesh_loglik(_DatasetTables(ZERO_MASS_DATA), a, b, lam, gamma,
+                           (eta,))
+        ref = ref_logistic_sweep(ZERO_MASS_DATA, lam, gamma, [a], [b], [eta])
+        assert_matches_reference(got, ref.reshape(1))
+
+    def test_single_point_matches_the_sweep(self, tables, logistic_axes):
+        alphas, betas, etas = logistic_axes
+        sweep = _mesh_loglik(tables, alphas[:, None], betas[None, :], 4.0,
+                             1.5, etas)
+        for i, j, e in ((0, 0, 0), (7, 3, 10), (20, 20, 5), (12, 2, 10)):
+            one = _mesh_loglik(tables, alphas[i], betas[j], 4.0, 1.5,
+                               (etas[e],))
+            assert abs(one[0] - sweep[i, j, e]) <= 1e-12 * abs(sweep[i, j, e])
+
     def test_counts_at_zero_and_mass(self):
-        data = CountDataset(schedule=(1.0, 3.0, 6.0, 12.0),
-                            counts=((0, 0, 1, 20), (0, 4, 20, 20),
-                                    (0, 9, 13, 20), (20, 20, 20, 17)),
-                            mass=20)
+        data = ZERO_MASS_DATA
         tables = _DatasetTables(data)
         alphas = np.linspace(-6.0, 2.0, 9)
         betas = np.linspace(0.05, 1.5, 7)
         etas = np.array([0.6, 0.9, 1.0])
         got = _mesh_loglik(tables, alphas[:, None], betas[None, :], 3.0, 1.2,
                            etas)
-        ref = ref_logistic_sweep(tables, 3.0, 1.2, alphas, betas, etas)
+        ref = ref_logistic_sweep(data, 3.0, 1.2, alphas, betas, etas)
         assert_matches_reference(got, ref)
         lams = np.geomspace(1.0, 9.0, 7)
         gammas = np.geomspace(0.5, 3.0, 6)
@@ -337,7 +380,7 @@ class TestMeshKernel:
             got = _mesh_loglik(tables, -1.0, 0.4, lams[:, None],
                                gammas[None, :], (eta,))[:, :, 0]
             assert_matches_reference(
-                got, ref_weibull_sweep(tables, -1.0, 0.4, eta, lams, gammas))
+                got, ref_weibull_sweep(data, -1.0, 0.4, eta, lams, gammas))
 
     def test_all_zero_counts_at_eta_zero(self):
         data = CountDataset(schedule=(2.0, 5.0), counts=((0, 0), (0,)),
@@ -345,6 +388,15 @@ class TestMeshKernel:
         got = _mesh_loglik(_DatasetTables(data), -2.0, 0.3, 4.0, 1.5,
                            (0.0, 1.0))
         assert got[0] == 0.0 and got[1] < 0.0
+
+    def test_times_without_counts_are_skipped(self):
+        # the empty middle column contributes no nodes and no cells
+        gap = CountDataset(schedule=(2.0, 5.0, 9.0),
+                           counts=((0, 3, 3), (), (7, 0)), mass=10)
+        got = _mesh_loglik(_DatasetTables(gap), -2.0, 0.3, 4.0, 1.5,
+                           (0.8, 1.0))
+        ref = ref_logistic_sweep(gap, 4.0, 1.5, [-2.0], [0.3], [0.8, 1.0])
+        assert_matches_reference(got, ref.reshape(2))
 
 
 def lse_tolerance(ref):
@@ -363,17 +415,33 @@ class TestKernelPrimitives:
         finite = np.where(np.isfinite(x), x, np.nan)
         assert np.all(np.nanmax(finite, axis=1) - np.nanmin(finite, axis=1)
                       > 1e4)
+        # one run per row, then runs of uneven length along each row
         ref = logsumexp(x, axis=-1)
-        got = _logsumexp_last(x.copy())
-        assert np.all(np.abs(got - ref) <= lse_tolerance(ref))
+        got = _segment_logsumexp(x.copy(), np.array([0]), np.array([64]))
+        assert np.all(np.abs(got[:, 0] - ref) <= lse_tolerance(ref))
+        bounds = [0, 1, 9, 40, 64]
+        got = _segment_logsumexp(x.copy(), np.array(bounds[:-1]),
+                                 np.diff(bounds))
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            ref = logsumexp(x[:, lo:hi], axis=-1)
+            assert np.array_equal(np.isneginf(got[:, j]), np.isneginf(ref))
+            fin = np.isfinite(ref)
+            assert np.all(np.abs(got[fin, j] - ref[fin])
+                          <= lse_tolerance(ref[fin]))
 
     def test_logsumexp_all_neg_inf_rows(self):
         x = np.array([[-np.inf] * 5, [0.0, -np.inf, -3.0, -np.inf, -1e5],
                       [-np.inf] * 5])
         ref = logsumexp(x, axis=-1)
-        got = _logsumexp_last(x.copy())
+        got = _segment_logsumexp(x.copy(), np.array([0]),
+                                 np.array([5]))[:, 0]
         assert np.isneginf(got[0]) and np.isneginf(got[2])
         assert abs(got[1] - ref[1]) <= lse_tolerance(ref[1])
+        # a run of -inf beside a finite run in the same row
+        got = _segment_logsumexp(x[1].copy(), np.array([0, 1, 2]),
+                                 np.array([1, 1, 3]))
+        assert got[0] == 0.0 and np.isneginf(got[1])
+        assert abs(got[2] - logsumexp([-3.0, -1e5])) <= 1e-15 * 3.0
 
     def test_log_sigmoid_matches_scipy(self):
         z = np.concatenate([np.linspace(-800.0, 800.0, 160001),
@@ -405,6 +473,28 @@ class TestProfileIterate:
         values = [e["value"] for e in fit.trace
                   if e["stage"] in ("logistic", "polish")]
         assert all(b >= a - 1e-6 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("model", [ModelKind.SSB, ModelKind.SSB_PLUS])
+    def test_polish_at_its_start_keeps_the_grid_stage(self, model,
+                                                      monkeypatch):
+        # a polish that ends where it started has found nothing better,
+        # whatever rounding separates its evaluations from the sweep's;
+        # on this design the sweep's SSB grid value sits 6.8e-13 nats
+        # below the polish's own value at the same point
+        def stay(obj, x0):
+            return OptimizeResult(x=np.array(x0), fun=obj(x0), success=False)
+
+        data = make_protocol_dataset(seed=1)[1]
+        monkeypatch.setattr(estimation, "_nelder_mead", stay)
+        grid = grid_search_logistic(data, 4.0, 1.5, model)
+        fit = profile_iterate(data, 4.0, 1.5, model,
+                              config=FitConfig(compute_se=False))
+        est = fit.estimates
+        assert (est["alpha"], est["beta"]) == grid.point[:2]
+        assert (est["lambda"], est["gamma"]) == (4.0, 1.5)
+        if model is ModelKind.SSB_PLUS:
+            assert est["eta"] == grid.point[2]
+        assert fit.converged == (not grid.on_boundary)
 
     def test_estimate_beats_truth_on_its_own_data(self, sim_fits,
                                                   sim_dataset, theta0):
@@ -481,11 +571,25 @@ class TestFitModel:
 COARSE_RE = FitConfig(quad=QuadConfig(gh_nodes=8))
 
 
+def record_cell_tables(mp):
+    """Wrap the cell-table builder; returns the list of datasets it
+    builds a table for, in call order."""
+    built = []
+    build = core._cell_table
+
+    def recording(data):
+        built.append(data)
+        return build(data)
+
+    mp.setattr(core, "_cell_table", recording)
+    return built
+
+
 @pytest.fixture(scope="module")
 def nested_run():
     """fit_models over all five models, with standard errors, on a
     small design where SSB+ falls back to SSB; every family search it
-    runs is recorded."""
+    runs and every cell table it builds are recorded."""
     data = make_protocol_dataset(seed=3, mass=30, horizon=24,
                                  schedule=(2.0, 8.0, 24.0), group_size=3)[1]
     searched = []
@@ -497,18 +601,30 @@ def nested_run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimation, "_search", recording)
+        built = record_cell_tables(mp)
         fits = fit_models(data, list(reversed(MODEL_ORDER)), COARSE_RE)
-    return data, fits, searched
+    return data, fits, searched, built
 
 
 class TestFitModels:
     def test_each_model_is_searched_once(self, nested_run):
-        _, fits, searched = nested_run
+        _, fits, searched, _ = nested_run
         assert [f.model for f in fits] == list(MODEL_ORDER)
         assert Counter(searched) == Counter(MODEL_ORDER)
 
+    def test_cell_table_is_built_once(self, nested_run):
+        data, _, _, built = nested_run
+        assert len(built) == 1 and built[0] is data
+
+    def test_lrm_plus_fit_builds_the_cell_table_once(self, monkeypatch):
+        data = binomial_logistic_data(5, alpha=-2.0, beta=0.1)
+        built = record_cell_tables(monkeypatch)
+        fit = fit_model(data, ModelKind.LRM_PLUS)
+        assert fit.std_errors is not None
+        assert len(built) == 1 and built[0] is data
+
     def test_equals_separate_fit_model_calls(self, nested_run):
-        data, fits, _ = nested_run
+        data, fits, _, _ = nested_run
         assert fits[-1].trace[-1]["stage"] == "boundary_eta"
         for fit in fits:
             alone = fit_model(data, fit.model, COARSE_RE)

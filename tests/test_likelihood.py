@@ -25,7 +25,7 @@ from masshist.likelihood import (delta_factor, frozen_dataset_loglik,
                                  ssb_count_loglik, ssb_dataset_loglik)
 from masshist.likelihood import (_binom_kernel_peak, _counts_loglik,
                                  _log_binom_coef, _log_failure, _log_success,
-                                 _shared_breakpoints)
+                                 _re_batch_loglik, _shared_breakpoints)
 from masshist.quadrature import (DEFAULT_QUAD, QuadConfig, integrate_weibull,
                                  weibull_cdf, weibull_logsf)
 
@@ -330,6 +330,21 @@ class TestDeltaFactor:
                 assert abs(lhs - rhs) < 1e-8
 
 
+# datasets for the cell-table passes: ragged columns, an empty column,
+# counts at 0 and at mass, several counts per time
+CELL_DATASETS = (
+    CountDataset(schedule=(1.0, 3.0, 6.0, 12.0, 20.0),
+                 counts=((0, 0, 1, 20), (0, 4, 20, 20), (),
+                         (0, 9, 13, 20, 9), (20, 20, 17)),
+                 mass=20),
+    CountDataset(schedule=(2.0, 4.0, 8.0, 16.0, 32.0),
+                 counts=((1, 0, 2, 0), (3, 4), (10, 12, 9, 12), (40, 38),
+                         (85, 90, 100)),
+                 mass=100),
+)
+CELL_IDS = ["zero_mass_gap", "mass100"]
+
+
 class TestLrmLoglik:
     def test_symmetric_pair(self):
         data = single_obs(1.0, 1, 2)
@@ -379,6 +394,23 @@ class TestLrmLoglik:
                - lrm_loglik(alpha, beta - h, data)) / (2 * h)
         assert fda == pytest.approx(ga, rel=1e-5)
         assert fdb == pytest.approx(gb, rel=1e-5)
+
+
+    @pytest.mark.parametrize("eta", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("data", CELL_DATASETS, ids=CELL_IDS)
+    def test_cell_pass_matches_per_time_loop(self, data, eta):
+        for alpha, beta in ((-3.0, 0.15), (-1.0, 0.8), (-12.0, 2.5)):
+            want = 0.0
+            for t, col in zip(data.schedule, data.counts):
+                if col:
+                    ks, mult = np.unique(np.asarray(col), return_counts=True)
+                    want += float(np.dot(mult, lrm_count_logpmf(
+                        alpha, beta, eta, data.mass, t, ks)))
+            got = lrm_loglik(alpha, beta, data, eta)
+            if math.isinf(want):
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def _re_obs_loglik(mz: float, vz: float, mass: int, k: int, eta: float,
@@ -477,6 +509,48 @@ class TestReLoglik:
                 ll = _re_obs_loglik(mz, vz, 20, int(k), p.eta, x, logw)
                 total += m * (ll + logc)
         assert re_loglik(p, data) == pytest.approx(total, rel=1e-12)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("data", CELL_DATASETS, ids=CELL_IDS)
+    def test_cell_pass_matches_per_cell_loop(self, data, eta):
+        # the per-cell loop re_loglik ran before its cell-table pass
+        x, w = hermgauss(32)
+        logw = np.log(w)
+        for p in (ReParams(mu1=-2.5, mu2=0.2, rho=-0.3, sigma1=1.2,
+                           sigma2=0.08, eta=eta),
+                  ReParams(mu1=-4.0, mu2=0.6, rho=-0.999, sigma1=2.0,
+                           sigma2=0.1, eta=eta)):
+            total = 0.0
+            mzs, vzs, kss, mults, logcs = [], [], [], [], []
+            for t, col in zip(data.schedule, data.counts):
+                if not col:
+                    continue
+                ks, mult = np.unique(np.asarray(col), return_counts=True)
+                mz = p.mu1 + p.mu2 * t
+                vz = (p.sigma1 * p.sigma1
+                      + 2.0 * p.rho * p.sigma1 * p.sigma2 * t
+                      + (p.sigma2 * t) ** 2)
+                for k, m in zip(ks, mult):
+                    k = int(k)
+                    if eta == 0.0:
+                        total += float(m) * (0.0 if k == 0 else -np.inf)
+                        continue
+                    mzs.append(mz)
+                    vzs.append(vz)
+                    kss.append(k)
+                    mults.append(float(m))
+                    logcs.append(_log_binom_coef(data.mass, k))
+            if kss:
+                ll = _re_batch_loglik(np.asarray(mzs), np.asarray(vzs),
+                                      np.asarray(kss), data.mass, eta, x,
+                                      logw)
+                total += float(np.dot(np.asarray(mults),
+                                      ll + np.asarray(logcs)))
+            got = re_loglik(p, data)
+            if math.isinf(total):
+                assert got == total
+            else:
+                assert abs(got - total) <= 1e-12 * abs(total)
 
     def test_eta_zero(self):
         p = ReParams(mu1=-2.0, mu2=0.1, rho=0.0, sigma1=1.0, sigma2=0.1,

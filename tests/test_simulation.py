@@ -167,6 +167,23 @@ class TestSimulateReTrajectory:
             for i in range(n)])
         assert np.mean(re_first > 0) > np.mean(ssb_first > 0) + 0.3
 
+    def test_cached_factor_gives_the_fresh_factor_trajectories(self):
+        # the covariance is factored once per parameter value; every
+        # trajectory must equal one drawn with a freshly computed factor
+        p = ReParams(mu1=-4.0, mu2=0.15, rho=-0.3, sigma1=1.0, sigma2=0.04)
+        simulation._re_cholesky.cache_clear()
+        cached = [simulate_re_trajectory(p, 300, 60, substream(31, 1, i))
+                  for i in range(40)]
+        assert simulation._re_cholesky.cache_info().misses == 1
+        for i, traj in enumerate(cached):
+            simulation._re_cholesky.cache_clear()
+            fresh = simulate_re_trajectory(
+                ReParams(**vars(p)), 300, 60, substream(31, 1, i))
+            assert np.array_equal(traj.counts, fresh.counts)
+            assert traj.lead_time == fresh.lead_time
+        assert np.array_equal(simulation._re_cholesky(p),
+                              np.linalg.cholesky(p.cov()))
+
     def test_impossible_slope_exhausts_rejections(self, monkeypatch):
         # a small budget keeps the test fast; the loop is the same
         monkeypatch.setattr(simulation, "_REJECTION_BUDGET", 1000)
