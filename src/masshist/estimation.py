@@ -11,26 +11,30 @@ The shared-lead-time search runs in two grid stages and a polish:
 
   stage 1  initial_weibull_estimate: a current-status fit of the lead
            time alone, using only whether each count is zero;
-  stage 2  grid_search_logistic: refine-and-shrink grid maximization of
-           the full likelihood over (alpha, beta[, eta]) with the lead
-           time frozen at the stage-1 values;
+  stage 2  grid_search_logistic: grid maximization of the full
+           likelihood with the lead time frozen at the stage-1 values;
+           for SSB one 21 x 21 (alpha, beta) scan, for SSB+ a
+           21 x 21 x 11 (alpha, beta, eta) grid with three
+           refine-and-shrink levels (default_logistic_grid says why);
   polish   profile_iterate: Nelder-Mead over all parameters at once,
-           started from the stage-2 point.
+           started from the stage-2 point (SSB+'s eta from 0.99 when
+           the grid's eta is 1, so the polish can leave that boundary).
 
 A zero count nearly pins down "the lead time has not elapsed yet", so
 stage 1 lands (lambda, gamma) close to the joint optimum and the polish
-reaches it from there.  The grid stage and the polish evaluate the
-likelihood with one kernel, _mesh_loglik: a fixed composite
-Gauss-Legendre mesh in u (one mesh per observation time, reused for
-every parameter combination) laid against the dataset's cell table
-(CountDataset.cells), so that one block of array passes covers every
-(t, k) cell of the dataset for a block of parameter points.  A full
-(alpha, beta) grid is then a few dozen cache-sized blocks, and a polish
-step a few dozen numpy calls, instead of thousands of adaptive
-integrations.  The polish replaces the grid point only when it beats
-that point as the polish itself evaluates it, so the likelihood trace is
-nondecreasing; the final quoted log-likelihood is recomputed with the
-adaptive rule.
+reaches it from there; on 33 simulated and real datasets, refining the
+SSB scan three times before the polish moved no fit by more than
+1.3e-7 nats.  The grid stage and the polish evaluate the likelihood
+with one kernel, _mesh_loglik: a fixed composite Gauss-Legendre mesh in
+u (one mesh per observation time, reused for every parameter
+combination) laid against the dataset's cell table (CountDataset.cells),
+so that one block of array passes covers every (t, k) cell of the
+dataset for a block of parameter points.  A full (alpha, beta) grid is
+then a few dozen cache-sized blocks, and a polish step a few dozen numpy
+calls, instead of thousands of adaptive integrations.  The polish
+replaces the grid point only when it beats that point as the polish
+itself evaluates it, so the likelihood trace is nondecreasing; the final
+quoted log-likelihood is recomputed with the adaptive rule.
 
 The logistic families (plain, extended, random effects) are smooth
 low-dimensional problems and go through Nelder-Mead from a coarse grid
@@ -86,6 +90,10 @@ _LAM_LO_FACTOR = 0.05
 _LAM_HI_FACTOR = 10.0
 _GAMMA_LO = 0.05
 _GAMMA_HI = 20.0
+
+# where the polish starts eta when the grid's best eta is the boundary
+# value 1, at which the simplex's logit coordinate would be infinite
+_ETA_START = 0.99
 
 # panel width of the fixed u-mesh behind the grid stage and the polish:
 # the search only needs ranking accuracy, and the final adaptive
@@ -226,8 +234,9 @@ def grid_refine_max(f: Callable[..., np.ndarray],
         if inc_pt is None:
             raise NoFiniteMle("objective is -inf or NaN on the whole "
                               "first scan")
-        levels.append({"level": level, "scan_max": cand_val,
-                       "point": list(inc_pt), "value": inc_val})
+        levels.append({"level": level, "points": arr.size,
+                       "scan_max": cand_val, "point": list(inc_pt),
+                       "value": inc_val})
         if level < spec.refine_levels:
             factor = spec.shrink ** (level + 1)
             axes = [_shrunk_axis(ax0, c, factor)
@@ -468,11 +477,23 @@ def initial_weibull_estimate(data: CountDataset) -> tuple[float, float]:
 
 
 def default_logistic_grid(model: ModelKind) -> GridSpec:
+    """The stage-2 grid of a shared-lead-time model.
+
+    SSB gets one 21 x 21 (alpha, beta) scan and no refinement: the
+    polish fits all parameters together from the scan's best point, and
+    refining the scan first only hands it a slightly better start.  The
+    extended model's 21 x 21 x 11 (alpha, beta, eta) grid keeps three
+    refine-and-shrink levels: on the shipped counts its unrefined best
+    point sends the polish into a second basin (-469.67712 at eta
+    0.935, against -467.82185 at eta 0.905 from the refined point),
+    which two simplex restarts do not leave.
+    """
     axes = [GridAxis("alpha", -10.0, 0.0, 21),
             GridAxis("beta", 0.01, 2.0, 21)]
     if ModelKind(model) in (ModelKind.SSB_PLUS, ModelKind.LRM_PLUS):
         axes.append(GridAxis("eta", 0.5, 1.0, 11))
-    return GridSpec(axes=tuple(axes))
+        return GridSpec(axes=tuple(axes), refine_levels=3)
+    return GridSpec(axes=tuple(axes), refine_levels=0)
 
 
 def grid_search_logistic(data: CountDataset, lam: float, gamma: float,
@@ -521,8 +542,12 @@ def profile_iterate(data: CountDataset, lam0: float, gamma0: float,
 
     Runs the logistic grid search at (lam0, gamma0), then a Nelder-Mead
     polish over all parameters on the same fixed mesh, which replaces
-    the grid point only on a strict improvement; the quoted loglik is
-    recomputed with adaptive quadrature at the end.  converged is False
+    the grid point only on a strict improvement; for SSB+ eta is always
+    free in the polish, started at _ETA_START when the grid's eta is 1.
+    The quoted loglik is recomputed with adaptive quadrature at the
+    end.  The trace's logistic stage counts the grid points evaluated
+    ("points") and its polish stage the simplex's objective
+    evaluations ("evals").  converged is False
     when the grid maximum sits on its box and the polish did not move
     it, or when the accepted polish stopped on its iteration cap.  The
     search step only: fit_model adds SSB+'s eta = 1 rule and the errors.
@@ -539,37 +564,38 @@ def profile_iterate(data: CountDataset, lam0: float, gamma0: float,
     value = lres.value
     on_box = lres.on_boundary
     trace: list[dict] = [{"stage": "logistic", "value": value,
-                          "alpha": alpha, "beta": beta, "eta": eta}]
+                          "alpha": alpha, "beta": beta, "eta": eta,
+                          "points": sum(lv["points"] for lv in lres.levels)}]
 
     lam_lo = _LAM_LO_FACTOR * tables.times[0]
     lam_hi = _LAM_HI_FACTOR * tables.times[-1]
-    free_eta = with_eta and eta < 1.0 - 1e-9
 
     def unpack(x):
-        et = float(expit(x[4])) if free_eta else eta
+        et = float(expit(x[4])) if with_eta else 1.0
         return (float(x[0]), float(np.exp(x[1])), float(np.exp(x[2])),
                 float(np.exp(x[3])), et)
 
-    def nll(x):
-        a, b, la, ga, et = unpack(x)
+    def loglik(a, b, la, ga, et):
         if not (lam_lo <= la <= lam_hi and _GAMMA_LO <= ga <= _GAMMA_HI):
-            return np.inf
-        return -float(_mesh_loglik(tables, a, b, la, ga, (et,))[0])
+            return -np.inf
+        return float(_mesh_loglik(tables, a, b, la, ga, (et,))[0])
 
     x0 = [alpha, math.log(beta), math.log(lam), math.log(gamma)]
-    if free_eta:
-        x0.append(float(logit(eta)))
+    if with_eta:
+        x0.append(float(logit(_ETA_START if eta == 1.0 else eta)))
     x0 = np.asarray(x0)
-    # the grid point as the polish evaluates it, so that rounding in the
-    # batched sweep or in the log/exp round trip cannot decide the test
-    value = -nll(x0)
-    res = _nelder_mead(nll, x0)
+    start = unpack(x0)
+    # the grid point (at its own eta, not the start's) as the polish
+    # evaluates it, so that rounding in the batched sweep or in the
+    # log/exp round trip cannot decide the test
+    value = loglik(*start[:4], start[4] if eta < 1.0 else eta)
+    res = _nelder_mead(lambda x: -loglik(*unpack(x)), x0)
     cand = -float(res.fun)
     if math.isfinite(cand) and cand > value:
         alpha, beta, lam, gamma, eta = unpack(res.x)
         value = cand
         on_box = not bool(res.success)
-    trace.append({"stage": "polish", "value": value})
+    trace.append({"stage": "polish", "value": value, "evals": int(res.nfev)})
 
     params = SsbParams(alpha=alpha, beta=beta, lam=lam, gamma=gamma, eta=eta)
     final_ll = ssb_dataset_loglik(params, data, cfg.quad)
@@ -772,7 +798,8 @@ def _attach_se(result: FitResult, data: CountDataset,
     """Observed information and standard errors at result's estimates,
     from the family's natural-scale log-likelihood.  eta counts only
     when 1e-9 < eta < 1 - 1e-9 (else its error is None).  Steps are
-    cbrt(eps) (1 + |theta|), capped at 0.25 theta for beta, lambda,
+    observed_information's eps**(1/4) (1 + |theta|), the balance point
+    for second differences, capped at 0.25 theta for beta, lambda,
     gamma, sigma1, sigma2, at 0.25 (1 - |rho|) and at 0.25 min(eta,
     1 - eta) + 1e-12.  Singular information leaves std_errors None."""
     est, model = result.estimates, result.model
@@ -784,7 +811,7 @@ def _attach_se(result: FitResult, data: CountDataset,
     caps["rho"] = 0.25 * (1.0 - abs(est.get("rho", 0.0)))
     caps["eta"] = 0.25 * min(eta, 1.0 - eta) + 1e-12
     theta = np.array([est[n] for n in names])
-    steps = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(theta))
+    steps = np.finfo(float).eps ** 0.25 * (1.0 + np.abs(theta))
     steps = np.array([min(h, caps.get(n, math.inf))
                       for h, n in zip(steps, names)])
 

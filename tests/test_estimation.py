@@ -6,6 +6,7 @@ simulated from known parameters, and per-count loop versions of the
 fixed-mesh sweeps that the batched kernel replaced.
 """
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -32,6 +33,8 @@ from masshist.estimation import (MODEL_ORDER, FitConfig, GridAxis, GridSpec,
 from masshist.likelihood import (_log_failure, _log_success,
                                  frozen_dataset_loglik, ssb_dataset_loglik)
 from masshist.quadrature import QuadConfig, fixed_u_panels, weibull_logpdf
+from masshist.simulation import (SCHEDULE_PRESETS, sacrifice_sample,
+                                 simulate_trajectory, substream)
 
 
 def axis(name, lo, hi, n, log=False):
@@ -182,8 +185,11 @@ class TestGridSearchLogistic:
                 grid_search_logistic(sim_dataset, 4.0, 1.5, m)
 
     def test_recovery_at_true_lead_time(self, sim_dataset, theta0):
+        # SSB+'s refined grid lands near theta0 by itself; SSB's single
+        # coarse scan does not (-3.5, 0.209) and leaves that to the polish
+        # (TestProfileIterate.test_recovery_at_true_lead_time)
         res = grid_search_logistic(sim_dataset, theta0.lam, theta0.gamma,
-                                   ModelKind.SSB)
+                                   ModelKind.SSB_PLUS)
         assert res.point[0] == pytest.approx(theta0.alpha, abs=0.2)
         assert res.point[1] == pytest.approx(theta0.beta, abs=0.02)
 
@@ -467,6 +473,39 @@ class TestProfileIterate:
         assert first["eta"] == eta
         assert [e["stage"] for e in fit.trace] == ["logistic", "polish",
                                                     "final"]
+        # the grid points evaluated, and the simplex's objective calls
+        assert first["points"] == {ModelKind.SSB: 441,
+                                   ModelKind.SSB_PLUS: 4 * 4851}[model]
+        assert fit.trace[1]["evals"] > 0
+
+    def test_recovery_at_true_lead_time(self, sim_dataset, theta0):
+        # the SSB search from the true lead time (alpha -3.0183,
+        # beta 0.14743), with the bounds the refined grid once met alone
+        fit = profile_iterate(sim_dataset, theta0.lam, theta0.gamma,
+                              ModelKind.SSB,
+                              config=FitConfig(compute_se=False))
+        assert fit.estimates["alpha"] == pytest.approx(theta0.alpha, abs=0.2)
+        assert fit.estimates["beta"] == pytest.approx(theta0.beta, abs=0.02)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, None],
+                             ids=["seed0", "seed1", "seed2", "real"])
+    def test_ssb_matches_the_refined_grid_reference(self, seed, real_dataset,
+                                                    monkeypatch):
+        # the polish fits all parameters together, so refining the SSB
+        # scan three times before it changes no fit
+        data = (real_dataset if seed is None
+                else make_protocol_dataset(seed=seed)[1])
+        cfg = FitConfig(compute_se=False)
+        fit = fit_model(data, ModelKind.SSB, cfg)
+        coarse = default_logistic_grid
+
+        def refined(model):
+            return dataclasses.replace(coarse(model), refine_levels=3)
+
+        monkeypatch.setattr(estimation, "default_logistic_grid", refined)
+        ref = fit_model(data, ModelKind.SSB, cfg)
+        assert ref.trace[0]["points"] == 4 * 441
+        assert fit.loglik == pytest.approx(ref.loglik, abs=1e-6)
 
     def test_trace_is_monotone_through_search_stages(self, sim_fits):
         fit = sim_fits["ssb"]
@@ -482,7 +521,8 @@ class TestProfileIterate:
         # on this design the sweep's SSB grid value sits 6.8e-13 nats
         # below the polish's own value at the same point
         def stay(obj, x0):
-            return OptimizeResult(x=np.array(x0), fun=obj(x0), success=False)
+            return OptimizeResult(x=np.array(x0), fun=obj(x0), success=False,
+                                  nfev=1)
 
         data = make_protocol_dataset(seed=1)[1]
         monkeypatch.setattr(estimation, "_nelder_mead", stay)
@@ -540,6 +580,24 @@ class TestFitModel:
                 >= sim_fits["lrm"].loglik - 1e-6)
         assert (sim_fits["ssb_plus"].loglik
                 >= sim_fits["ssb"].loglik - 1e-6)
+
+    def test_ssb_plus_leaves_a_grid_eta_of_one(self):
+        # a recovery replicate at gamma 0.75 whose SSB+ grid maximum sits
+        # at eta = 1; with eta pinned there the polish ended at -319.66696
+        seed = int(np.random.SeedSequence((11, 5)).generate_state(
+            1, dtype=np.uint64)[0])
+        schedule = SCHEDULE_PRESETS["default"]
+        truth = SsbParams(alpha=-3.0, beta=0.15, lam=4.0, gamma=0.75)
+        trajs = [simulate_trajectory(truth, 300, 60, substream(seed, 0, j))
+                 for j in range(10 * len(schedule))]
+        data = sacrifice_sample(trajs, schedule, 10, substream(seed, 1), 300)
+        ssb, plus = fit_models(data, [ModelKind.SSB, ModelKind.SSB_PLUS],
+                               FitConfig(compute_se=False))
+        grid = plus.trace[0]  # SSB+'s own search, not the nested SSB fit
+        assert (grid["points"], grid["eta"]) == (4 * 4851, 1.0)
+        assert plus.estimates["eta"] < 1.0
+        assert plus.loglik >= -319.64206 - 1e-5
+        assert plus.loglik > ssb.loglik + 0.02
 
     def test_extended_model_reports_eta(self, sim_fits):
         fit = sim_fits["ssb_plus"]
