@@ -7,34 +7,36 @@ and LRM-RE contain LRM, SSB+ contains SSB), and a nested model takes
 its submodel's fit instead of refitting it; fit_models walks
 MODEL_ORDER so that each fit is made once and handed down.
 
-The shared-lead-time search runs in two grid stages and a polish:
+The SSB search runs in two grid stages and a polish:
 
   stage 1  initial_weibull_estimate: a current-status fit of the lead
            time alone, using only whether each count is zero;
-  stage 2  grid_search_logistic: grid maximization of the full
-           likelihood with the lead time frozen at the stage-1 values;
-           for SSB one 21 x 21 (alpha, beta) scan, for SSB+ a
-           21 x 21 x 11 (alpha, beta, eta) grid with three
-           refine-and-shrink levels (default_logistic_grid says why);
-  polish   profile_iterate: Nelder-Mead over all parameters at once,
-           started from the stage-2 point (SSB+'s eta from 0.99 when
-           the grid's eta is 1, so the polish can leave that boundary).
+  stage 2  grid_search_logistic: one 21 x 21 (alpha, beta) scan with
+           the lead time frozen at the stage-1 values;
+  polish   profile_iterate: Nelder-Mead over all four parameters at
+           once, started from the stage-2 point.
+
+SSB+ is SSB plus a responsive fraction eta, and its search starts from
+the SSB fit: the same polish over all five parameters, once from each
+eta in _ETA_STARTS (_polish_eta).  fit_models hands SSB+ the SSB fit,
+so stages 1 and 2 run once for both models.
 
 A zero count nearly pins down "the lead time has not elapsed yet", so
 stage 1 lands (lambda, gamma) close to the joint optimum and the polish
 reaches it from there; on 33 simulated and real datasets, refining the
 SSB scan three times before the polish moved no fit by more than
-1.3e-7 nats.  The grid stage and the polish evaluate the likelihood
+1.3e-7 nats.  The grid stage and the polishes evaluate the likelihood
 with one kernel, _mesh_loglik: a fixed composite Gauss-Legendre mesh in
 u (one mesh per observation time, reused for every parameter
 combination) laid against the dataset's cell table (CountDataset.cells),
 so that one block of array passes covers every (t, k) cell of the
 dataset for a block of parameter points.  A full (alpha, beta) grid is
 then a few dozen cache-sized blocks, and a polish step a few dozen numpy
-calls, instead of thousands of adaptive integrations.  The polish
-replaces the grid point only when it beats that point as the polish
-itself evaluates it, so the likelihood trace is nondecreasing; the final
-quoted log-likelihood is recomputed with the adaptive rule.
+calls, instead of thousands of adaptive integrations.  A polish replaces
+its start point (the grid point, or for SSB+ the SSB fit at eta = 1)
+only when it beats that point as the polish itself evaluates it, so the
+likelihood trace is nondecreasing; the final quoted log-likelihood is
+recomputed with the adaptive rule.
 
 The logistic families (plain, extended, random effects) are smooth
 low-dimensional problems and go through Nelder-Mead from a coarse grid
@@ -91,9 +93,10 @@ _LAM_HI_FACTOR = 10.0
 _GAMMA_LO = 0.05
 _GAMMA_HI = 20.0
 
-# where the polish starts eta when the grid's best eta is the boundary
-# value 1, at which the simplex's logit coordinate would be infinite
-_ETA_START = 0.99
+# the eta starts of the SSB+ polish, whose likelihood can have two
+# basins in eta: on the shipped counts a start at 0.99 or 0.95 ends at
+# -469.67712 (eta 0.935), one at 0.9 to 0.6 at -467.82185 (eta 0.905)
+_ETA_STARTS = (0.95, 0.8, 0.65)
 
 # panel width of the fixed u-mesh behind the grid stage and the polish:
 # the search only needs ranking accuracy, and the final adaptive
@@ -115,9 +118,8 @@ _RHO_CAP = 1.0 - 1e-9
 
 @dataclass(frozen=True)
 class GridAxis:
-    """One parameter axis of a search grid.  A pinned axis (lo == hi,
-    n_points == 1) holds a parameter fixed; otherwise lo < hi and at
-    least three points are required so refinement has an interior."""
+    """One parameter axis of a search grid: lo < hi, and at least three
+    points so that refinement has an interior."""
 
     name: str
     lo: float
@@ -128,43 +130,36 @@ class GridAxis:
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise DomainError(f"axis {self.name}: bounds must be finite")
-        pinned = self.lo == self.hi and self.n_points == 1
-        if not pinned and not (self.lo < self.hi and self.n_points >= 3):
+        if not (self.lo < self.hi and self.n_points >= 3):
             raise DomainError(
-                f"axis {self.name}: need lo < hi with n_points >= 3, or a "
-                f"pinned single-point axis (lo == hi, n_points == 1)")
+                f"axis {self.name}: need lo < hi with n_points >= 3")
         if self.log and not self.lo > 0:
             raise DomainError(f"axis {self.name}: log axis needs lo > 0")
 
-    @property
-    def pinned(self) -> bool:
-        return self.lo == self.hi
-
     def values(self) -> np.ndarray:
-        if self.pinned:
-            return np.array([self.lo])
         if self.log:
             return np.geomspace(self.lo, self.hi, self.n_points)
         return np.linspace(self.lo, self.hi, self.n_points)
 
 
+# the width of each refined axis, as a factor of the previous level's
+_SHRINK = 0.2
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A refine-and-shrink search: scan the axes, then refine_levels
-    times shrink each free axis about the best point so far by `shrink`
-    and rescan (boxes are shifted to stay inside the original bounds)."""
+    times shrink each axis about the best point so far by _SHRINK and
+    rescan (boxes are shifted to stay inside the original bounds)."""
 
     axes: tuple[GridAxis, ...]
     refine_levels: int = 3
-    shrink: float = 0.2
 
     def __post_init__(self):
         if not self.axes:
             raise DomainError("grid needs at least one axis")
         if int(self.refine_levels) < 0:
             raise DomainError("refine_levels must be >= 0")
-        if not (0.0 < self.shrink < 1.0):
-            raise DomainError("shrink must lie in (0, 1)")
 
 
 @dataclass
@@ -174,13 +169,8 @@ class GridRefineResult:
     on_boundary: bool
     levels: list[dict] = field(default_factory=list)
 
-    def named(self, axes: Sequence[GridAxis]) -> dict[str, float]:
-        return {ax.name: x for ax, x in zip(axes, self.point)}
-
 
 def _shrunk_axis(ax0: GridAxis, center: float, width_factor: float) -> GridAxis:
-    if ax0.pinned:
-        return ax0
     if ax0.log:
         lo0, hi0 = math.log(ax0.lo), math.log(ax0.hi)
         c = math.log(center)
@@ -234,16 +224,14 @@ def grid_refine_max(f: Callable[..., np.ndarray],
         if inc_pt is None:
             raise NoFiniteMle("objective is -inf or NaN on the whole "
                               "first scan")
-        levels.append({"level": level, "points": arr.size,
-                       "scan_max": cand_val, "point": list(inc_pt),
+        levels.append({"points": arr.size, "scan_max": cand_val,
                        "value": inc_val})
         if level < spec.refine_levels:
-            factor = spec.shrink ** (level + 1)
+            factor = _SHRINK ** (level + 1)
             axes = [_shrunk_axis(ax0, c, factor)
                     for ax0, c in zip(spec.axes, inc_pt)]
-    on_boundary = any(
-        not ax.pinned and (_near(x, ax.lo) or _near(x, ax.hi))
-        for ax, x in zip(spec.axes, inc_pt))
+    on_boundary = any(_near(x, ax.lo) or _near(x, ax.hi)
+                      for ax, x in zip(spec.axes, inc_pt))
     return GridRefineResult(point=inc_pt, value=inc_val,
                             on_boundary=on_boundary, levels=levels)
 
@@ -349,23 +337,21 @@ def _segment_logsumexp(x: np.ndarray, starts: np.ndarray,
 
 
 def _mesh_loglik(tables: _DatasetTables, alpha, beta, lam, gamma,
-                 etas) -> np.ndarray:
-    """Fixed-mesh dataset log-likelihood over a batch of parameter points.
+                 eta: float) -> np.ndarray:
+    """Fixed-mesh dataset log-likelihood at one responsive fraction eta.
 
-    alpha, beta, lam and gamma broadcast together to the batch shape S;
-    the result has shape S + (len(etas),).  The log lead-time density
-    and survival are computed once per (lam, gamma).  The points then go
-    in blocks of at most _BLOCK (points x pairs) elements (or one point,
-    if that is more): per block, z = alpha + beta (t - u) and its
-    log-sigmoid are computed once over all nodes of all times; per eta,
-    each time's node terms are spread over its (cells x nodes) block of
-    the pair axis, and one segmented log-sum-exp gives every cell's
-    integral.  This one kernel serves the logistic sweep and the
-    single-point polish.
+    alpha, beta, lam and gamma broadcast together to the batch shape S,
+    the result's shape.  The log lead-time density and survival are
+    computed once per (lam, gamma).  The points then go in blocks of at
+    most _BLOCK (points x pairs) elements (or one point, if that is
+    more): per block, z = alpha + beta (t - u) and its log-sigmoid are
+    computed once over all nodes of all times, each time's node terms
+    are spread over its (cells x nodes) block of the pair axis, and one
+    segmented log-sum-exp gives every cell's integral.  This one kernel
+    serves the logistic sweep and the single-point polish.
     """
     alpha, beta, lam, gamma = (np.asarray(v, dtype=float)[..., None]
                                for v in (alpha, beta, lam, gamma))
-    etas = np.asarray(etas, dtype=float).ravel()
     shape = np.broadcast_shapes(alpha.shape, beta.shape, lam.shape,
                                 gamma.shape)[:-1]
     n_points = math.prod(shape)
@@ -376,9 +362,15 @@ def _mesh_loglik(tables: _DatasetTables, alpha, beta, lam, gamma,
             x = np.broadcast_to(x, shape + x.shape[-1:])
         return x.reshape(n_points, -1)
 
-    out = np.zeros((n_points, etas.size))
+    out = np.zeros(n_points)
     if tables.n_cells == 0:
-        return out.reshape(shape + (etas.size,))
+        return out.reshape(shape)
+    if eta == 0.0:
+        # nothing can succeed: a positive count has probability 0 and a
+        # zero count probability 1
+        if not tables.zero.all():
+            out[:] = -np.inf
+        return out.reshape(shape)
     mass = tables.mass
     r = tables.u / lam
     logfu = rows(np.log(gamma) - np.log(lam) + (gamma - 1.0) * np.log(r)
@@ -390,33 +382,26 @@ def _mesh_loglik(tables: _DatasetTables, alpha, beta, lam, gamma,
         pts = slice(p, p + n_p)
         z = alpha[pts] + beta[pts] * tables.lag
         ls1 = _log_sigmoid(z)
+        # k successes weigh mass * log(1 - p) + k * logit(p)
+        if eta >= 1.0:
+            lf, lodds = ls1 - z, z
+        else:
+            lf = np.log1p(-eta * np.exp(ls1))
+            lodds = ls1 + math.log(eta) - lf
+        base = logfu[pts] + mass * lf
         n = z.shape[0]
         starts, run, run_of = tables.layout(n)
         lg = np.empty(n * tables.n_pairs)
+        for nodes, ks, p0, p1 in tables.blocks:
+            blk = lg[n * p0:n * p1].reshape(n, ks.size, -1)
+            np.multiply(ks, lodds[:, None, nodes], out=blk)
+            blk += base[:, None, nodes]
+        li = np.take(_segment_logsumexp(lg, starts, run), run_of)
         log_sf_cells = np.take(log_sf[pts], tables.cell_time, axis=1)
-        for i, eta in enumerate(etas):
-            if eta == 0.0:
-                # nothing can succeed: a positive count has probability
-                # 0 and a zero count probability 1
-                if not tables.zero.all():
-                    out[pts, i] = -np.inf
-                continue
-            # k successes weigh mass * log(1 - p) + k * logit(p)
-            if eta >= 1.0:
-                lf, lodds = ls1 - z, z
-            else:
-                lf = np.log1p(-eta * np.exp(ls1))
-                lodds = ls1 + math.log(eta) - lf
-            base = logfu[pts] + mass * lf
-            for nodes, ks, p0, p1 in tables.blocks:
-                blk = lg[n * p0:n * p1].reshape(n, ks.size, -1)
-                np.multiply(ks, lodds[:, None, nodes], out=blk)
-                blk += base[:, None, nodes]
-            li = np.take(_segment_logsumexp(lg, starts, run), run_of)
-            ll = np.where(tables.zero, np.logaddexp(log_sf_cells, li),
-                          tables.logc + li)
-            out[pts, i] = ll @ tables.mult
-    return out.reshape(shape + (etas.size,))
+        ll = np.where(tables.zero, np.logaddexp(log_sf_cells, li),
+                      tables.logc + li)
+        out[pts] = ll @ tables.mult
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +452,7 @@ def initial_weibull_estimate(data: CountDataset) -> tuple[float, float]:
     spec = GridSpec(axes=(
         GridAxis("lambda", 0.2 * t_obs[0], 10.0 * t_obs[-1], 41, log=True),
         GridAxis("gamma", 0.1, 10.0, 41, log=True),
-    ), refine_levels=3, shrink=0.2)
+    ), refine_levels=3)
     res = grid_refine_max(lambda l, g: current_status_loglik(data, l, g), spec)
     return res.point[0], res.point[1]
 
@@ -476,47 +461,25 @@ def initial_weibull_estimate(data: CountDataset) -> tuple[float, float]:
 # stage 2: logistic grid search at fixed lead time
 
 
-def default_logistic_grid(model: ModelKind) -> GridSpec:
-    """The stage-2 grid of a shared-lead-time model.
-
-    SSB gets one 21 x 21 (alpha, beta) scan and no refinement: the
-    polish fits all parameters together from the scan's best point, and
-    refining the scan first only hands it a slightly better start.  The
-    extended model's 21 x 21 x 11 (alpha, beta, eta) grid keeps three
-    refine-and-shrink levels: on the shipped counts its unrefined best
-    point sends the polish into a second basin (-469.67712 at eta
-    0.935, against -467.82185 at eta 0.905 from the refined point),
-    which two simplex restarts do not leave.
-    """
-    axes = [GridAxis("alpha", -10.0, 0.0, 21),
-            GridAxis("beta", 0.01, 2.0, 21)]
-    if ModelKind(model) in (ModelKind.SSB_PLUS, ModelKind.LRM_PLUS):
-        axes.append(GridAxis("eta", 0.5, 1.0, 11))
-        return GridSpec(axes=tuple(axes), refine_levels=3)
-    return GridSpec(axes=tuple(axes), refine_levels=0)
+def default_logistic_grid() -> GridSpec:
+    """The stage-2 grid of the SSB search: one 21 x 21 (alpha, beta) scan
+    and no refinement, since the polish fits all parameters together
+    from its best point.  SSB+ has no grid: it starts from the SSB fit."""
+    return GridSpec(axes=(GridAxis("alpha", -10.0, 0.0, 21),
+                          GridAxis("beta", 0.01, 2.0, 21)), refine_levels=0)
 
 
 def grid_search_logistic(data: CountDataset, lam: float, gamma: float,
-                         model: ModelKind = ModelKind.SSB,
                          tables: Optional[_DatasetTables] = None
                          ) -> GridRefineResult:
-    """Maximize the full likelihood over default_logistic_grid(model)'s
-    (alpha, beta) -- and eta for the extended model -- with (lambda,
-    gamma) held fixed.  The result's on_boundary flag reports a maximum
-    pinned to the original box."""
-    model = ModelKind(model)
-    if model not in (ModelKind.SSB, ModelKind.SSB_PLUS):
-        raise DomainError("grid_search_logistic fits the shared-lead-time "
-                          "models; use fit_model for the logistic families")
+    """Maximize the SSB likelihood over default_logistic_grid()'s
+    (alpha, beta) with (lambda, gamma) held fixed.  The result's
+    on_boundary flag reports a maximum pinned to the grid's box."""
     tab = tables if tables is not None else _DatasetTables(data)
-    with_eta = model is ModelKind.SSB_PLUS
-
-    def f(alphas, betas, etas=(1.0,)):
-        out = _mesh_loglik(tab, alphas[:, None], betas[None, :], lam, gamma,
-                           etas)
-        return out if with_eta else out[:, :, 0]
-
-    return grid_refine_max(f, default_logistic_grid(model))
+    return grid_refine_max(
+        lambda alphas, betas: _mesh_loglik(tab, alphas[:, None],
+                                           betas[None, :], lam, gamma, 1.0),
+        default_logistic_grid())
 
 
 # ---------------------------------------------------------------------------
@@ -535,77 +498,91 @@ class FitConfig:
     re_free_eta: bool = False
 
 
-def profile_iterate(data: CountDataset, lam0: float, gamma0: float,
-                    model: ModelKind = ModelKind.SSB,
-                    config: Optional[FitConfig] = None) -> FitResult:
-    """Fit a shared-lead-time model from a current-status start.
+# the estimates of SSB+ in the order of a polish's point; SSB has four
+_SSB_NAMES = ("alpha", "beta", "lambda", "gamma", "eta")
 
-    Runs the logistic grid search at (lam0, gamma0), then a Nelder-Mead
-    polish over all parameters on the same fixed mesh, which replaces
-    the grid point only on a strict improvement; for SSB+ eta is always
-    free in the polish, started at _ETA_START when the grid's eta is 1.
-    The quoted loglik is recomputed with adaptive quadrature at the
-    end.  The trace's logistic stage counts the grid points evaluated
-    ("points") and its polish stage the simplex's objective
-    evaluations ("evals").  converged is False
-    when the grid maximum sits on its box and the polish did not move
-    it, or when the accepted polish stopped on its iteration cap.  The
-    search step only: fit_model adds SSB+'s eta = 1 rule and the errors.
-    """
-    model = ModelKind(model)
-    cfg = config or FitConfig()
-    tables = _DatasetTables(data)
-    with_eta = model is ModelKind.SSB_PLUS
 
-    lres = grid_search_logistic(data, lam0, gamma0, model, tables=tables)
-    alpha, beta = lres.point[0], lres.point[1]
-    eta = lres.point[2] if with_eta else 1.0
-    lam, gamma = float(lam0), float(gamma0)
-    value = lres.value
-    on_box = lres.on_boundary
-    trace: list[dict] = [{"stage": "logistic", "value": value,
-                          "alpha": alpha, "beta": beta, "eta": eta,
-                          "points": sum(lv["points"] for lv in lres.levels)}]
-
+def _polish(data: CountDataset, tables: _DatasetTables, x: np.ndarray,
+            point: tuple, on_box: bool, trace: list, cfg: FitConfig,
+            etas: Sequence[float] = ()) -> FitResult:
+    """Nelder-Mead on the fixed mesh over (alpha, log beta, log lambda,
+    log gamma) from x, the coordinates of `point` (at eta = 1); given
+    etas, over logit eta too, once from each (SSB+).  The best end
+    replaces point only when it beats x as the polish itself evaluates
+    it, so rounding in a batched sweep or in the log/exp round trip
+    cannot decide the test; on_box then says whether its simplex hit
+    the iteration cap.  Appends the stage ("polish", or "eta" given
+    etas) and "final", the adaptive loglik at the point, to trace, and
+    returns the fit there."""
     lam_lo = _LAM_LO_FACTOR * tables.times[0]
     lam_hi = _LAM_HI_FACTOR * tables.times[-1]
 
-    def unpack(x):
-        et = float(expit(x[4])) if with_eta else 1.0
-        return (float(x[0]), float(np.exp(x[1])), float(np.exp(x[2])),
-                float(np.exp(x[3])), et)
+    def unpack(y):
+        eta = float(expit(y[4])) if len(y) > 4 else 1.0
+        return (float(y[0]), float(np.exp(y[1])), float(np.exp(y[2])),
+                float(np.exp(y[3])), eta)
 
-    def loglik(a, b, la, ga, et):
+    def loglik(y):
+        a, b, la, ga, et = unpack(y)
         if not (lam_lo <= la <= lam_hi and _GAMMA_LO <= ga <= _GAMMA_HI):
             return -np.inf
-        return float(_mesh_loglik(tables, a, b, la, ga, (et,))[0])
+        return float(_mesh_loglik(tables, a, b, la, ga, et))
 
-    x0 = [alpha, math.log(beta), math.log(lam), math.log(gamma)]
-    if with_eta:
-        x0.append(float(logit(_ETA_START if eta == 1.0 else eta)))
-    x0 = np.asarray(x0)
-    start = unpack(x0)
-    # the grid point (at its own eta, not the start's) as the polish
-    # evaluates it, so that rounding in the batched sweep or in the
-    # log/exp round trip cannot decide the test
-    value = loglik(*start[:4], start[4] if eta < 1.0 else eta)
-    res = _nelder_mead(lambda x: -loglik(*unpack(x)), x0)
-    cand = -float(res.fun)
+    value = loglik(x)
+    starts = [np.append(x, logit(e)) for e in etas] or [x]
+    runs = [_nelder_mead(lambda y: -loglik(y), x0) for x0 in starts]
+    best = min(runs, key=lambda r: r.fun)
+    cand = -float(best.fun)
     if math.isfinite(cand) and cand > value:
-        alpha, beta, lam, gamma, eta = unpack(res.x)
-        value = cand
-        on_box = not bool(res.success)
-    trace.append({"stage": "polish", "value": value, "evals": int(res.nfev)})
-
-    params = SsbParams(alpha=alpha, beta=beta, lam=lam, gamma=gamma, eta=eta)
-    final_ll = ssb_dataset_loglik(params, data, cfg.quad)
+        point, value, on_box = unpack(best.x), cand, not bool(best.success)
+    trace.append({"stage": "eta" if etas else "polish", "value": value,
+                  "evals": sum(int(r.nfev) for r in runs)})
+    model = ModelKind.SSB_PLUS if etas else ModelKind.SSB
+    final_ll = ssb_dataset_loglik(SsbParams(*point), data, cfg.quad)
     trace.append({"stage": "final", "value": final_ll})
-    estimates = {"alpha": alpha, "beta": beta, "lambda": lam, "gamma": gamma}
-    if with_eta:
-        estimates["eta"] = eta
-    return FitResult(model=model, estimates=estimates, loglik=final_ll,
-                     n_params=model.n_params, converged=not on_box,
-                     trace=trace)
+    return FitResult(model=model, loglik=final_ll, n_params=model.n_params,
+                     estimates=dict(zip(_SSB_NAMES[:model.n_params], point)),
+                     converged=not on_box, trace=trace)
+
+
+def _polish_eta(data: CountDataset, ssb: FitResult,
+                cfg: FitConfig) -> FitResult:
+    """SSB+'s search from the SSB fit `ssb`: the polish over all five
+    parameters, once from each eta in _ETA_STARTS (trace stage "eta",
+    after ssb's search stages).  Its best end must beat the SSB point
+    itself, at eta = 1."""
+    point = tuple(ssb.estimates[n] for n in _SSB_NAMES[:4]) + (1.0,)
+    x = np.array([point[0]] + [math.log(v) for v in point[1:4]])
+    trace = [s for s in ssb.trace if s["stage"] != "final"]
+    return _polish(data, _DatasetTables(data), x, point, not ssb.converged,
+                   trace, cfg, _ETA_STARTS)
+
+
+def profile_iterate(data: CountDataset, lam0: float, gamma0: float,
+                    model: ModelKind = ModelKind.SSB,
+                    config: Optional[FitConfig] = None) -> FitResult:
+    """Fit a shared-lead-time model from a current-status start: the
+    logistic grid search at (lam0, gamma0), then _polish of all four SSB
+    parameters on the same mesh; SSB+ then runs _polish_eta from that
+    SSB fit.  The trace's logistic stage counts the grid points
+    evaluated ("points"), the polish and "eta" stages the simplexes'
+    objective evaluations ("evals").  converged is False when the grid
+    maximum sits on its box and no polish moved it, or when the
+    accepted polish stopped on its iteration cap.  The search step
+    only: fit_model adds SSB+'s eta = 1 rule and the errors."""
+    model = ModelKind(model)
+    cfg = config or FitConfig()
+    tables = _DatasetTables(data)
+    lres = grid_search_logistic(data, lam0, gamma0, tables=tables)
+    alpha, beta = lres.point
+    trace = [{"stage": "logistic", "value": lres.value,
+              "alpha": alpha, "beta": beta, "eta": 1.0,
+              "points": sum(lv["points"] for lv in lres.levels)}]
+    x0 = np.array([alpha, math.log(beta), math.log(lam0), math.log(gamma0)])
+    ssb = _polish(data, tables, x0,
+                  (alpha, beta, float(lam0), float(gamma0), 1.0),
+                  lres.on_boundary, trace, cfg)
+    return _polish_eta(data, ssb, cfg) if model is ModelKind.SSB_PLUS else ssb
 
 
 # ---------------------------------------------------------------------------
@@ -758,11 +735,14 @@ def _search(data: CountDataset, model: ModelKind, cfg: FitConfig,
             sub: Optional[FitResult]) -> FitResult:
     """Fit `model` by its family's search alone: no other model is
     fitted, no boundary rule applied and no standard error computed.
-    sub is the LRM fit that starts LRM-RE; the others ignore it."""
+    sub, the submodel's fit, starts the searches of LRM-RE (_fit_re)
+    and SSB+ (_polish_eta); the others ignore it."""
     if model in (ModelKind.LRM, ModelKind.LRM_PLUS):
         return _fit_lrm(data, free_eta=model is ModelKind.LRM_PLUS)
     if model is ModelKind.LRM_RE:
         return _fit_re(data, cfg, sub)
+    if model is ModelKind.SSB_PLUS:
+        return _polish_eta(data, sub, cfg)
     lam0, gamma0 = initial_weibull_estimate(data)
     return profile_iterate(data, lam0, gamma0, model, config=cfg)
 

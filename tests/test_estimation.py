@@ -45,7 +45,7 @@ class TestGridRefineMax:
     def test_recovers_quadratic_maximum(self):
         spec = GridSpec(axes=(axis("x", 0.0, 2.0, 21),
                               axis("y", 0.0, 3.0, 21)),
-                        refine_levels=3, shrink=0.2)
+                        refine_levels=3)
 
         def f(x, y):
             return (-(x[:, None] - 0.37) ** 2
@@ -66,15 +66,6 @@ class TestGridRefineMax:
 
         res = grid_refine_max(f, spec)
         assert res.point == (1.0, 0.0)
-
-    def test_pinned_axis(self):
-        spec = GridSpec(axes=(axis("x", 2.0, 2.0, 1),
-                              axis("y", 0.0, 1.0, 11)),
-                        refine_levels=1)
-        res = grid_refine_max(
-            lambda x, y: 0.0 * x[:, None] - (y[None, :] - 0.5) ** 2, spec)
-        assert res.point[0] == 2.0
-        assert res.point[1] == pytest.approx(0.5, abs=1e-6)
 
     def test_boundary_flag(self):
         spec = GridSpec(axes=(axis("x", 0.0, 1.0, 11),), refine_levels=0)
@@ -107,11 +98,13 @@ class TestGridRefineMax:
         with pytest.raises(DomainError):
             axis("x", 0.0, 1.0, 2)
         with pytest.raises(DomainError):
+            axis("x", 1.0, 1.0, 1)
+        with pytest.raises(DomainError):
             axis("x", -1.0, 1.0, 5, log=True)
         with pytest.raises(DomainError):
             GridSpec(axes=())
         with pytest.raises(DomainError):
-            GridSpec(axes=(axis("x", 0.0, 1.0, 5),), shrink=1.0)
+            GridSpec(axes=(axis("x", 0.0, 1.0, 5),), refine_levels=-1)
 
 
 def current_status_data(seed, n, schedule, lam=4.0, gamma=1.5):
@@ -149,11 +142,10 @@ class TestCurrentStatus:
         # median there: lambda = t / ln 2
         data = CountDataset(schedule=(4.0,), counts=((0,) * 10 + (1,) * 10,),
                             mass=1)
-        spec = GridSpec(axes=(axis("lambda", 1.0, 20.0, 41, log=True),
-                              axis("gamma", 1.0, 1.0, 1)),
-                        refine_levels=4, shrink=0.2)
+        spec = GridSpec(axes=(axis("lambda", 1.0, 20.0, 41, log=True),),
+                        refine_levels=4)
         res = grid_refine_max(
-            lambda l, g: current_status_loglik(data, l, g), spec)
+            lambda l: current_status_loglik(data, l, 1.0)[:, 0], spec)
         assert res.point[0] == pytest.approx(4.0 / math.log(2.0), abs=1e-2)
 
     def test_initial_estimate_recovers_simulated_lead_time(self):
@@ -176,22 +168,6 @@ class TestCurrentStatus:
                                 mass=1)
         with pytest.raises(InsufficientTimes):
             initial_weibull_estimate(one_time)
-
-
-class TestGridSearchLogistic:
-    def test_rejects_logistic_families(self, sim_dataset):
-        for m in (ModelKind.LRM, ModelKind.LRM_PLUS, ModelKind.LRM_RE):
-            with pytest.raises(DomainError):
-                grid_search_logistic(sim_dataset, 4.0, 1.5, m)
-
-    def test_recovery_at_true_lead_time(self, sim_dataset, theta0):
-        # SSB+'s refined grid lands near theta0 by itself; SSB's single
-        # coarse scan does not (-3.5, 0.209) and leaves that to the polish
-        # (TestProfileIterate.test_recovery_at_true_lead_time)
-        res = grid_search_logistic(sim_dataset, theta0.lam, theta0.gamma,
-                                   ModelKind.SSB_PLUS)
-        assert res.point[0] == pytest.approx(theta0.alpha, abs=0.2)
-        assert res.point[1] == pytest.approx(theta0.beta, abs=0.02)
 
 
 # Loop reference for the fixed-mesh kernel: one array pass per count,
@@ -285,6 +261,13 @@ def ref_weibull_sweep(data, alpha, beta, eta, lams, gammas):
     return out
 
 
+def mesh_over_etas(tables, alpha, beta, lam, gamma, etas):
+    """_mesh_loglik at each of etas, one scalar eta per call, stacked on
+    a last axis as ref_logistic_sweep lays them out."""
+    return np.stack([_mesh_loglik(tables, alpha, beta, lam, gamma, eta)
+                     for eta in etas], axis=-1)
+
+
 def assert_matches_reference(got, ref):
     assert got.shape == ref.shape
     assert np.array_equal(np.isposinf(got), np.isposinf(ref))
@@ -314,23 +297,22 @@ class TestMeshKernel:
 
     @pytest.fixture(scope="class")
     def logistic_axes(self):
-        alpha_ax, beta_ax, eta_ax = default_logistic_grid(
-            ModelKind.SSB_PLUS).axes
-        return alpha_ax.values(), beta_ax.values(), eta_ax.values()
+        alpha_ax, beta_ax = default_logistic_grid().axes
+        return alpha_ax.values(), beta_ax.values(), np.linspace(0.5, 1.0, 11)
 
     def test_ssb_grid(self, tables, sim_dataset, logistic_axes):
         alphas, betas, _ = logistic_axes
         got = _mesh_loglik(tables, alphas[:, None], betas[None, :], 4.0, 1.5,
-                           (1.0,))
+                           1.0)
         ref = ref_logistic_sweep(sim_dataset, 4.0, 1.5, alphas, betas, [1.0])
-        assert_matches_reference(got, ref)
+        assert_matches_reference(got, ref[:, :, 0])
 
     def test_ssb_plus_eta_axis_and_eta_zero(self, tables, sim_dataset,
                                             logistic_axes):
         alphas, betas, etas = logistic_axes
         etas = np.append(etas, 0.0)
-        got = _mesh_loglik(tables, alphas[:, None], betas[None, :], 4.0, 1.5,
-                           etas)
+        got = mesh_over_etas(tables, alphas[:, None], betas[None, :], 4.0,
+                             1.5, etas)
         ref = ref_logistic_sweep(sim_dataset, 4.0, 1.5, alphas, betas, etas)
         assert np.all(np.isneginf(got[:, :, -1]))
         assert_matches_reference(got, ref)
@@ -341,34 +323,33 @@ class TestMeshKernel:
         lams = np.geomspace(4.0 / 3.0, 12.0, 15)
         gammas = np.geomspace(gamma / 3.0, 3.0 * gamma, 15)
         got = _mesh_loglik(tables, -3.0, 0.15, lams[:, None],
-                           gammas[None, :], (eta,))[:, :, 0]
+                           gammas[None, :], eta)
         ref = ref_weibull_sweep(sim_dataset, -3.0, 0.15, eta, lams, gammas)
         assert_matches_reference(got, ref)
 
     @pytest.mark.parametrize("point", SINGLE_POINTS)
     def test_single_point(self, tables, sim_dataset, point):
         a, b, lam, gamma, eta = point
-        got = _mesh_loglik(tables, a, b, lam, gamma, (eta,))
-        assert got.shape == (1,)
+        got = _mesh_loglik(tables, a, b, lam, gamma, eta)
+        assert got.shape == ()
         ref = ref_logistic_sweep(sim_dataset, lam, gamma, [a], [b], [eta])
-        assert_matches_reference(got, ref.reshape(1))
+        assert_matches_reference(got.reshape(1), ref.reshape(1))
 
     @pytest.mark.parametrize("point", SINGLE_POINTS)
     def test_single_point_on_zero_and_mass_counts(self, point):
         a, b, lam, gamma, eta = point
         got = _mesh_loglik(_DatasetTables(ZERO_MASS_DATA), a, b, lam, gamma,
-                           (eta,))
+                           eta)
         ref = ref_logistic_sweep(ZERO_MASS_DATA, lam, gamma, [a], [b], [eta])
-        assert_matches_reference(got, ref.reshape(1))
+        assert_matches_reference(got.reshape(1), ref.reshape(1))
 
     def test_single_point_matches_the_sweep(self, tables, logistic_axes):
         alphas, betas, etas = logistic_axes
-        sweep = _mesh_loglik(tables, alphas[:, None], betas[None, :], 4.0,
-                             1.5, etas)
         for i, j, e in ((0, 0, 0), (7, 3, 10), (20, 20, 5), (12, 2, 10)):
-            one = _mesh_loglik(tables, alphas[i], betas[j], 4.0, 1.5,
-                               (etas[e],))
-            assert abs(one[0] - sweep[i, j, e]) <= 1e-12 * abs(sweep[i, j, e])
+            sweep = _mesh_loglik(tables, alphas[:, None], betas[None, :], 4.0,
+                                 1.5, etas[e])
+            one = _mesh_loglik(tables, alphas[i], betas[j], 4.0, 1.5, etas[e])
+            assert abs(one - sweep[i, j]) <= 1e-12 * abs(sweep[i, j])
 
     def test_counts_at_zero_and_mass(self):
         data = ZERO_MASS_DATA
@@ -376,31 +357,31 @@ class TestMeshKernel:
         alphas = np.linspace(-6.0, 2.0, 9)
         betas = np.linspace(0.05, 1.5, 7)
         etas = np.array([0.6, 0.9, 1.0])
-        got = _mesh_loglik(tables, alphas[:, None], betas[None, :], 3.0, 1.2,
-                           etas)
+        got = mesh_over_etas(tables, alphas[:, None], betas[None, :], 3.0,
+                             1.2, etas)
         ref = ref_logistic_sweep(data, 3.0, 1.2, alphas, betas, etas)
         assert_matches_reference(got, ref)
         lams = np.geomspace(1.0, 9.0, 7)
         gammas = np.geomspace(0.5, 3.0, 6)
         for eta in (0.9, 1.0):
             got = _mesh_loglik(tables, -1.0, 0.4, lams[:, None],
-                               gammas[None, :], (eta,))[:, :, 0]
+                               gammas[None, :], eta)
             assert_matches_reference(
                 got, ref_weibull_sweep(data, -1.0, 0.4, eta, lams, gammas))
 
     def test_all_zero_counts_at_eta_zero(self):
         data = CountDataset(schedule=(2.0, 5.0), counts=((0, 0), (0,)),
                             mass=10)
-        got = _mesh_loglik(_DatasetTables(data), -2.0, 0.3, 4.0, 1.5,
-                           (0.0, 1.0))
+        got = mesh_over_etas(_DatasetTables(data), -2.0, 0.3, 4.0, 1.5,
+                             (0.0, 1.0))
         assert got[0] == 0.0 and got[1] < 0.0
 
     def test_times_without_counts_are_skipped(self):
         # the empty middle column contributes no nodes and no cells
         gap = CountDataset(schedule=(2.0, 5.0, 9.0),
                            counts=((0, 3, 3), (), (7, 0)), mass=10)
-        got = _mesh_loglik(_DatasetTables(gap), -2.0, 0.3, 4.0, 1.5,
-                           (0.8, 1.0))
+        got = mesh_over_etas(_DatasetTables(gap), -2.0, 0.3, 4.0, 1.5,
+                             (0.8, 1.0))
         ref = ref_logistic_sweep(gap, 4.0, 1.5, [-2.0], [0.3], [0.8, 1.0])
         assert_matches_reference(got, ref.reshape(2))
 
@@ -462,21 +443,25 @@ class TestProfileIterate:
     @pytest.mark.parametrize("model", [ModelKind.SSB, ModelKind.SSB_PLUS])
     def test_trace_starts_at_the_logistic_grid_point(self, sim_dataset,
                                                       model):
-        fit = profile_iterate(sim_dataset, 4.0, 1.5, model,
-                              config=FitConfig(compute_se=False))
-        direct = grid_search_logistic(sim_dataset, 4.0, 1.5, model)
+        cfg = FitConfig(compute_se=False)
+        fit = profile_iterate(sim_dataset, 4.0, 1.5, model, config=cfg)
+        direct = grid_search_logistic(sim_dataset, 4.0, 1.5)
         first = fit.trace[0]
         assert first["stage"] == "logistic"
         assert first["value"] == direct.value
-        assert (first["alpha"], first["beta"]) == direct.point[:2]
-        eta = direct.point[2] if model is ModelKind.SSB_PLUS else 1.0
-        assert first["eta"] == eta
-        assert [e["stage"] for e in fit.trace] == ["logistic", "polish",
-                                                    "final"]
-        # the grid points evaluated, and the simplex's objective calls
-        assert first["points"] == {ModelKind.SSB: 441,
-                                   ModelKind.SSB_PLUS: 4 * 4851}[model]
-        assert fit.trace[1]["evals"] > 0
+        assert (first["alpha"], first["beta"]) == direct.point
+        assert first["eta"] == 1.0
+        # SSB+ runs the SSB search, then its own polish from that point
+        eta_stage = ["eta"] if model is ModelKind.SSB_PLUS else []
+        assert ([e["stage"] for e in fit.trace]
+                == ["logistic", "polish"] + eta_stage + ["final"])
+        if model is ModelKind.SSB_PLUS:
+            ssb = profile_iterate(sim_dataset, 4.0, 1.5, ModelKind.SSB,
+                                  config=cfg)
+            assert fit.trace[:2] == ssb.trace[:2]
+        # the grid points evaluated, and the simplexes' objective calls
+        assert first["points"] == 441
+        assert all(e["evals"] > 0 for e in fit.trace[1:-1])
 
     def test_recovery_at_true_lead_time(self, sim_dataset, theta0):
         # the SSB search from the true lead time (alpha -3.0183,
@@ -499,8 +484,8 @@ class TestProfileIterate:
         fit = fit_model(data, ModelKind.SSB, cfg)
         coarse = default_logistic_grid
 
-        def refined(model):
-            return dataclasses.replace(coarse(model), refine_levels=3)
+        def refined():
+            return dataclasses.replace(coarse(), refine_levels=3)
 
         monkeypatch.setattr(estimation, "default_logistic_grid", refined)
         ref = fit_model(data, ModelKind.SSB, cfg)
@@ -526,14 +511,17 @@ class TestProfileIterate:
 
         data = make_protocol_dataset(seed=1)[1]
         monkeypatch.setattr(estimation, "_nelder_mead", stay)
-        grid = grid_search_logistic(data, 4.0, 1.5, model)
+        grid = grid_search_logistic(data, 4.0, 1.5)
         fit = profile_iterate(data, 4.0, 1.5, model,
                               config=FitConfig(compute_se=False))
         est = fit.estimates
-        assert (est["alpha"], est["beta"]) == grid.point[:2]
+        assert (est["alpha"], est["beta"]) == grid.point
         assert (est["lambda"], est["gamma"]) == (4.0, 1.5)
         if model is ModelKind.SSB_PLUS:
-            assert est["eta"] == grid.point[2]
+            # SSB+'s eta starts, each left where it began, all score
+            # below the SSB point at eta = 1, so the eta stage keeps it
+            assert est["eta"] == 1.0
+            assert fit.trace[2]["evals"] == len(estimation._ETA_STARTS)
         assert fit.converged == (not grid.on_boundary)
 
     def test_estimate_beats_truth_on_its_own_data(self, sim_fits,
@@ -582,8 +570,8 @@ class TestFitModel:
                 >= sim_fits["ssb"].loglik - 1e-6)
 
     def test_ssb_plus_leaves_a_grid_eta_of_one(self):
-        # a recovery replicate at gamma 0.75 whose SSB+ grid maximum sits
-        # at eta = 1; with eta pinned there the polish ended at -319.66696
+        # a recovery replicate at gamma 0.75 whose SSB+ optimum (eta
+        # 0.99966) lies only 0.025 nats above the SSB fit (-319.66696)
         seed = int(np.random.SeedSequence((11, 5)).generate_state(
             1, dtype=np.uint64)[0])
         schedule = SCHEDULE_PRESETS["default"]
@@ -593,8 +581,6 @@ class TestFitModel:
         data = sacrifice_sample(trajs, schedule, 10, substream(seed, 1), 300)
         ssb, plus = fit_models(data, [ModelKind.SSB, ModelKind.SSB_PLUS],
                                FitConfig(compute_se=False))
-        grid = plus.trace[0]  # SSB+'s own search, not the nested SSB fit
-        assert (grid["points"], grid["eta"]) == (4 * 4851, 1.0)
         assert plus.estimates["eta"] < 1.0
         assert plus.loglik >= -319.64206 - 1e-5
         assert plus.loglik > ssb.loglik + 0.02
@@ -669,6 +655,24 @@ class TestFitModels:
         _, fits, searched, _ = nested_run
         assert [f.model for f in fits] == list(MODEL_ORDER)
         assert Counter(searched) == Counter(MODEL_ORDER)
+
+    def test_ssb_plus_starts_from_the_ssb_fit(self, monkeypatch):
+        # the current-status start and the logistic grid run once for
+        # SSB and SSB+ together
+        calls = Counter()
+        for name in ("initial_weibull_estimate", "grid_search_logistic"):
+            def counted(*args, _name=name, _fn=getattr(estimation, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(estimation, name, counted)
+        data = make_protocol_dataset(seed=3, mass=30, horizon=24,
+                                     schedule=(2.0, 8.0, 24.0),
+                                     group_size=3)[1]
+        fit_models(data, [ModelKind.SSB, ModelKind.SSB_PLUS],
+                   FitConfig(compute_se=False))
+        assert calls == Counter(initial_weibull_estimate=1,
+                                grid_search_logistic=1)
 
     def test_cell_table_is_built_once(self, nested_run):
         data, _, _, built = nested_run
