@@ -29,8 +29,7 @@ from .quadrature import (QuadConfig, QuadResult, integrate_weibull,
                          weibull_ppf)
 from .simulation import (SCHEDULE_PRESETS, ProtocolResult, SimConfig,
                          action_time_from_uniform, lead_time_from_uniform,
-                         run_protocol, sacrifice_sample, sample_action_time,
-                         sample_lead_time, simulate_design,
+                         run_protocol, sacrifice_sample, simulate_design,
                          simulate_re_trajectory, simulate_trajectory,
                          substream)
 

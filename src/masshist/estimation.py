@@ -13,8 +13,9 @@ The SSB search runs in two grid stages and a polish:
            time alone, using only whether each count is zero;
   stage 2  grid_search_logistic: one 21 x 21 (alpha, beta) scan with
            the lead time frozen at the stage-1 values;
-  polish   profile_iterate: Nelder-Mead over all four parameters at
-           once, started from the stage-2 point.
+  polish   profile_iterate: L-BFGS-B over all four parameters at
+           once, started from the stage-2 point, with the exact
+           score of the fixed-mesh likelihood.
 
 SSB+ is SSB plus a responsive fraction eta, and its search starts from
 the SSB fit: the same polish over all five parameters, once from each
@@ -32,7 +33,8 @@ combination) laid against the dataset's cell table (CountDataset.cells),
 so that one block of array passes covers every (t, k) cell of the
 dataset for a block of parameter points.  A full (alpha, beta) grid is
 then a few dozen cache-sized blocks, and a polish step a few dozen numpy
-calls, instead of thousands of adaptive integrations.  A polish replaces
+calls, instead of thousands of adaptive integrations; the same pass
+gives a single point's score.  A polish replaces
 its start point (the grid point, or for SSB+ the SSB fit at eta = 1)
 only when it beats that point as the polish itself evaluates it, so the
 likelihood trace is nondecreasing; the final quoted log-likelihood is
@@ -94,17 +96,26 @@ _GAMMA_LO = 0.05
 _GAMMA_HI = 20.0
 
 # the eta starts of the SSB+ polish, whose likelihood can have two
-# basins in eta: on the shipped counts a start at 0.99 or 0.95 ends at
-# -469.67712 (eta 0.935), one at 0.9 to 0.6 at -467.82185 (eta 0.905)
+# basins in eta: on the shipped counts a start at 0.95 ends at a
+# fixed-mesh -469.67724 (eta 0.935), one at 0.99 or 0.9 to 0.6 at
+# -467.82188 (eta 0.905)
 _ETA_STARTS = (0.95, 0.8, 0.65)
+
+# the SSB+ polish's upper bound on eta, just above the 1 - 1e-6 beyond
+# which _nest quotes SSB: a start heading for eta = 1 stops here
+_ETA_HI = 1.0 - 5e-7
 
 # panel width of the fixed u-mesh behind the grid stage and the polish:
 # the search only needs ranking accuracy, and the final adaptive
 # evaluation restores full precision afterwards
 _ENGINE_SPACING = 1.0
 
-# iteration cap of every Nelder-Mead run
-_NM_MAXITER = 2000
+# iteration cap of every Nelder-Mead and L-BFGS-B run
+_MAXITER = 2000
+
+# the largest projected score (nats per unit of a polish coordinate) at
+# which an SSB or SSB+ polish counts as converged
+_SCORE_TOL = 1e-3
 
 # tanh saturates to exactly +-1.0 in doubles once |x| exceeds ~19, which
 # would step outside rho's open interval; cap the reported correlation
@@ -276,6 +287,7 @@ class _DatasetTables:
                            node_starts, self.n_nodes, cells.starts[:-1],
                            cells.starts[1:], np.cumsum(pairs) - pairs, pairs)]
         self.n_cells = cells.n_cells
+        self.k = k
         self.cell_time = cells.time_index
         self.first_cell = cells.starts[:-1][cells.time_index]
         self.zero = cells.k == 0
@@ -337,7 +349,7 @@ def _segment_logsumexp(x: np.ndarray, starts: np.ndarray,
 
 
 def _mesh_loglik(tables: _DatasetTables, alpha, beta, lam, gamma,
-                 eta: float) -> np.ndarray:
+                 eta: float, score: bool = False):
     """Fixed-mesh dataset log-likelihood at one responsive fraction eta.
 
     alpha, beta, lam and gamma broadcast together to the batch shape S,
@@ -349,12 +361,25 @@ def _mesh_loglik(tables: _DatasetTables, alpha, beta, lam, gamma,
     are spread over its (cells x nodes) block of the pair axis, and one
     segmented log-sum-exp gives every cell's integral.  This one kernel
     serves the logistic sweep and the single-point polish.
+
+    With score, for one point, it returns (value, score): the gradient
+    in the polish coordinates (alpha, log beta, log lambda, log gamma,
+    logit eta), from the same pass.  Normalized, a cell's exponentiated
+    node terms are the posterior of the lead time U given its count, so
+    each derivative of the cell's integral is the posterior mean of its
+    node term's derivative (Louis 1982).  Those are linear in the count
+    k with coefficients that depend on the node alone, so one (cells x
+    nodes) @ (nodes x 9) product per time gives every cell's means; a
+    zero count adds the log-survival atom's share.  The logit eta entry
+    is 0 at eta = 1.
     """
     alpha, beta, lam, gamma = (np.asarray(v, dtype=float)[..., None]
                                for v in (alpha, beta, lam, gamma))
     shape = np.broadcast_shapes(alpha.shape, beta.shape, lam.shape,
                                 gamma.shape)[:-1]
     n_points = math.prod(shape)
+    if score and n_points != 1:
+        raise DomainError("the score needs a single parameter point")
 
     def rows(x):
         # one row per parameter point, without copying a broadcast axis
@@ -363,18 +388,18 @@ def _mesh_loglik(tables: _DatasetTables, alpha, beta, lam, gamma,
         return x.reshape(n_points, -1)
 
     out = np.zeros(n_points)
-    if tables.n_cells == 0:
-        return out.reshape(shape)
-    if eta == 0.0:
-        # nothing can succeed: a positive count has probability 0 and a
-        # zero count probability 1
-        if not tables.zero.all():
+    if tables.n_cells == 0 or eta == 0.0:
+        # at eta 0 nothing can succeed: a positive count has probability
+        # 0 and a zero count probability 1
+        if tables.n_cells and not tables.zero.all():
             out[:] = -np.inf
-        return out.reshape(shape)
+        out = out.reshape(shape)
+        return (float(out), np.zeros(5)) if score else out
     mass = tables.mass
     r = tables.u / lam
-    logfu = rows(np.log(gamma) - np.log(lam) + (gamma - 1.0) * np.log(r)
-                 - r ** gamma + tables.logw)
+    log_r, r_g = np.log(r), r ** gamma
+    logfu = rows(np.log(gamma) - np.log(lam) + (gamma - 1.0) * log_r
+                 - r_g + tables.logw)
     log_sf = rows(-(tables.times / lam) ** gamma)
     alpha, beta = rows(alpha), rows(beta)
     n_p = max(1, _BLOCK // tables.n_pairs)
@@ -401,7 +426,39 @@ def _mesh_loglik(tables: _DatasetTables, alpha, beta, lam, gamma,
         ll = np.where(tables.zero, np.logaddexp(log_sf_cells, li),
                       tables.logc + li)
         out[pts] = ll @ tables.mult
-    return out.reshape(shape)
+    if not score:
+        return out.reshape(shape)
+
+    # per node, with q = eta sigmoid(z): d(node term)/dz = k c_k - mass
+    # c_m, c_k = (1 - sigmoid(z)) / (1 - q), c_m = q c_k; d/d logit eta
+    # = k e_k - mass e_m, e_k = (1 - eta) / (1 - q), e_m = q e_k; and
+    # d/d log lambda, d/d log gamma from the Weibull log-density
+    g, r_g, log_r = float(gamma.flat[0]), rows(r_g)[0], rows(log_r)[0]
+    q = eta * np.exp(ls1[0])
+    c_k = np.exp(ls1[0] - z[0] - lf[0])
+    e_k = (1.0 - eta) * np.exp(-lf[0])
+    h = np.stack([c_k, q * c_k, tables.lag * c_k, tables.lag * q * c_k,
+                  g * (r_g - 1.0), 1.0 + g * log_r * (1.0 - r_g),
+                  e_k, q * e_k, np.ones_like(q)], axis=1)
+    # lg now holds each pair's exponentiated node term
+    means = np.concatenate([lg[p0:p1].reshape(ks.size, -1) @ h[nodes]
+                            for nodes, ks, p0, p1 in tables.blocks])
+    means /= means[:, -1:]
+    k = tables.k
+    d_ll = np.stack([k * means[:, 0] - mass * means[:, 1],
+                     float(beta.flat[0]) * (k * means[:, 2]
+                                          - mass * means[:, 3]),
+                     means[:, 4], means[:, 5],
+                     k * means[:, 6] - mass * means[:, 7]], axis=1)
+    # a zero count's atom log S(t), in its share of the cell's probability
+    atom = np.exp(np.where(tables.zero, log_sf_cells[0] - ll[0], -np.inf))
+    s_g = -log_sf_cells[0]
+    d_sf = np.zeros_like(d_ll)
+    d_sf[:, 2] = g * s_g
+    d_sf[:, 3] = -g * s_g * np.log(tables.times / float(lam.flat[0])
+                                   )[tables.cell_time]
+    d_ll += atom[:, None] * (d_sf - d_ll)
+    return float(out[0]), tables.mult @ d_ll
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +548,7 @@ class FitConfig:
     """Knobs shared by all fitting paths: the adaptive quadrature of
     the quoted log-likelihoods, whether fit_model's last step computes
     standard errors, and whether the random-effects logistic fits eta.
-    The mesh spacing and the Nelder-Mead iteration cap are constants."""
+    The mesh spacing and the iteration cap are constants."""
 
     quad: QuadConfig = DEFAULT_QUAD
     compute_se: bool = True
@@ -505,32 +562,35 @@ _SSB_NAMES = ("alpha", "beta", "lambda", "gamma", "eta")
 def _polish(data: CountDataset, tables: _DatasetTables, x: np.ndarray,
             point: tuple, on_box: bool, trace: list, cfg: FitConfig,
             etas: Sequence[float] = ()) -> FitResult:
-    """Nelder-Mead on the fixed mesh over (alpha, log beta, log lambda,
-    log gamma) from x, the coordinates of `point` (at eta = 1); given
-    etas, over logit eta too, once from each (SSB+).  The best end
-    replaces point only when it beats x as the polish itself evaluates
-    it, so rounding in a batched sweep or in the log/exp round trip
-    cannot decide the test; on_box then says whether its simplex hit
-    the iteration cap.  Appends the stage ("polish", or "eta" given
-    etas) and "final", the adaptive loglik at the point, to trace, and
-    returns the fit there."""
-    lam_lo = _LAM_LO_FACTOR * tables.times[0]
-    lam_hi = _LAM_HI_FACTOR * tables.times[-1]
+    """L-BFGS-B on the fixed mesh, with the kernel's score, over
+    (alpha, log beta, log lambda, log gamma) from x, the coordinates of
+    `point` (at eta = 1); given etas, over logit eta too, once from each
+    (SSB+).  lambda and gamma keep to their box, and eta to at most
+    _ETA_HI.  The best end replaces point only when it beats x as the
+    polish itself evaluates it, so rounding in a batched sweep or in the
+    log/exp round trip cannot decide the test; on_box then says whether
+    that run did not converge (_lbfgs).  Appends the stage ("polish", or
+    "eta" given etas, with its value-and-score calls as "evals") and
+    "final", the adaptive loglik at the point, to trace, and returns the
+    fit there."""
+    bounds = [(-np.inf, np.inf), (-np.inf, np.inf),
+              (math.log(_LAM_LO_FACTOR * tables.times[0]),
+               math.log(_LAM_HI_FACTOR * tables.times[-1])),
+              (math.log(_GAMMA_LO), math.log(_GAMMA_HI)),
+              (-np.inf, logit(_ETA_HI))]
 
     def unpack(y):
         eta = float(expit(y[4])) if len(y) > 4 else 1.0
         return (float(y[0]), float(np.exp(y[1])), float(np.exp(y[2])),
                 float(np.exp(y[3])), eta)
 
-    def loglik(y):
-        a, b, la, ga, et = unpack(y)
-        if not (lam_lo <= la <= lam_hi and _GAMMA_LO <= ga <= _GAMMA_HI):
-            return -np.inf
-        return float(_mesh_loglik(tables, a, b, la, ga, et))
+    def neg_loglik(y):
+        value, score = _mesh_loglik(tables, *unpack(y), score=True)
+        return -value, -score[:len(y)]
 
-    value = loglik(x)
+    value = float(_mesh_loglik(tables, *unpack(x)))
     starts = [np.append(x, logit(e)) for e in etas] or [x]
-    runs = [_nelder_mead(lambda y: -loglik(y), x0) for x0 in starts]
+    runs = [_lbfgs(neg_loglik, x0, bounds[:len(x0)]) for x0 in starts]
     best = min(runs, key=lambda r: r.fun)
     cand = -float(best.fun)
     if math.isfinite(cand) and cand > value:
@@ -565,11 +625,12 @@ def profile_iterate(data: CountDataset, lam0: float, gamma0: float,
     logistic grid search at (lam0, gamma0), then _polish of all four SSB
     parameters on the same mesh; SSB+ then runs _polish_eta from that
     SSB fit.  The trace's logistic stage counts the grid points
-    evaluated ("points"), the polish and "eta" stages the simplexes'
-    objective evaluations ("evals").  converged is False when the grid
-    maximum sits on its box and no polish moved it, or when the
-    accepted polish stopped on its iteration cap.  The search step
-    only: fit_model adds SSB+'s eta = 1 rule and the errors."""
+    evaluated ("points"), the polish and "eta" stages the L-BFGS-B
+    runs' value-and-score calls ("evals").  converged is False when the
+    grid maximum sits on its box and no polish moved it, or when the
+    accepted polish stopped on its iteration cap or with a projected
+    score above _SCORE_TOL.  The search step only: fit_model adds
+    SSB+'s eta = 1 rule and the errors."""
     model = ModelKind(model)
     cfg = config or FitConfig()
     tables = _DatasetTables(data)
@@ -648,8 +709,25 @@ def std_errors_from_information(info: np.ndarray) -> np.ndarray:
 
 def _nelder_mead(obj, x0: np.ndarray):
     return minimize(obj, np.asarray(x0, dtype=float), method="Nelder-Mead",
-                    options={"maxiter": _NM_MAXITER, "xatol": 1e-6,
+                    options={"maxiter": _MAXITER, "xatol": 1e-6,
                              "fatol": 1e-9})
+
+
+def _lbfgs(obj, x0: np.ndarray, bounds: Sequence[tuple]):
+    """L-BFGS-B on obj, which returns its value and gradient, within
+    bounds.  success is set to whether the run converged: it did unless
+    it stopped on its iteration cap or its projected gradient ends above
+    _SCORE_TOL, so a line search that stops at a stationary point
+    (scipy's ABNORMAL) counts as converged."""
+    res = minimize(obj, np.asarray(x0, dtype=float), jac=True,
+                   method="L-BFGS-B", bounds=bounds,
+                   options={"maxiter": _MAXITER, "gtol": 1e-6,
+                            "ftol": 1e-14})
+    lo, hi = np.array(bounds, dtype=float).T
+    projected = np.clip(res.x - res.jac, lo, hi) - res.x
+    res.success = (res.status != 1
+                   and float(np.max(np.abs(projected))) <= _SCORE_TOL)
+    return res
 
 
 def _lrm_grid_scan(data: CountDataset, etas: np.ndarray) -> tuple:
@@ -762,15 +840,18 @@ def _nest(free: FitResult, sub: FitResult) -> FitResult:
     fit that its submodel (itself at eta = 1) matches or beats, nor one
     whose eta lies within 1e-6 of 1.  Then it quotes sub's estimates
     with eta = 1, its loglik, converged flag and trace, plus a final
-    "boundary_eta" stage."""
+    "boundary_eta" stage, which carries the "evals" of free's discarded
+    "eta" stage when it has one (SSB+)."""
     if sub.loglik < free.loglik and free.estimates["eta"] <= 1.0 - 1e-6:
         return free
+    stage = {"stage": "boundary_eta", "value": sub.loglik}
+    for s in free.trace:
+        if s["stage"] == "eta":
+            stage["evals"] = s["evals"]
     return FitResult(model=free.model,
                      estimates={**sub.estimates, "eta": 1.0},
                      loglik=sub.loglik, n_params=free.n_params,
-                     converged=sub.converged,
-                     trace=sub.trace + [{"stage": "boundary_eta",
-                                         "value": sub.loglik}])
+                     converged=sub.converged, trace=sub.trace + [stage])
 
 
 def _attach_se(result: FitResult, data: CountDataset,

@@ -38,8 +38,6 @@ __all__ = [
     "substream",
     "lead_time_from_uniform",
     "action_time_from_uniform",
-    "sample_lead_time",
-    "sample_action_time",
     "simulate_trajectory",
     "simulate_re_trajectory",
     "sacrifice_sample",
@@ -107,7 +105,7 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# elementary samplers (pure inverse-CDF maps plus rng wrappers)
+# elementary samplers (pure inverse-CDF maps)
 
 
 def lead_time_from_uniform(lam: float, gamma: float, p):
@@ -126,18 +124,6 @@ def action_time_from_uniform(alpha: float, beta: float, p):
     s = (np.log(p) - np.log1p(-p) - alpha) / beta
     out = np.maximum(s, 0.0)
     return float(out) if out.ndim == 0 else out
-
-
-def sample_lead_time(lam: float, gamma: float, rng: np.random.Generator,
-                     size: Optional[int] = None):
-    p = rng.random() if size is None else rng.random(size)
-    return lead_time_from_uniform(lam, gamma, p)
-
-
-def sample_action_time(alpha: float, beta: float, rng: np.random.Generator,
-                       size: Optional[int] = None):
-    p = rng.random() if size is None else rng.random(size)
-    return action_time_from_uniform(alpha, beta, p)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +146,7 @@ def _group_counts(start: float, alpha: float, beta: float, eta: float,
     if horizon < 1:
         raise DomainError("horizon must be >= 1")
     phase = rng.random(mass) < eta
-    s = sample_action_time(alpha, beta, rng, size=mass)
+    s = action_time_from_uniform(alpha, beta, rng.random(mass))
     return _counts_from_event_times(start + s[phase], horizon)
 
 
@@ -172,7 +158,7 @@ def simulate_trajectory(params: SsbParams, mass: int, horizon: int,
     action delays) so a given generator state always yields the same
     trajectory.  Individuals out of the responsive phase never act.
     """
-    u = float(sample_lead_time(params.lam, params.gamma, rng))
+    u = float(lead_time_from_uniform(params.lam, params.gamma, rng.random()))
     counts = _group_counts(u, params.alpha, params.beta, params.eta,
                            mass, horizon, rng)
     return Trajectory(counts=counts, lead_time=u)

@@ -290,6 +290,20 @@ ZERO_MASS_DATA = CountDataset(schedule=(1.0, 3.0, 6.0, 12.0),
                               mass=20)
 
 
+# datasets and (alpha, beta, lambda, gamma) points for the score checks:
+# the shipped counts, the theta0 design and a gamma = 0.75 design
+SCORE_CASES = {"real": (-3.8, 0.54, 4.8, 0.88),
+               "theta0": (-3.2, 0.16, 4.3, 1.4),
+               "gamma075": (-2.8, 0.13, 3.6, 0.8)}
+
+
+@pytest.fixture(scope="module")
+def score_datasets(real_dataset, sim_dataset):
+    g075 = SsbParams(alpha=-3.0, beta=0.15, lam=4.0, gamma=0.75)
+    return {"real": real_dataset, "theta0": sim_dataset,
+            "gamma075": make_protocol_dataset(seed=4, params=g075)[1]}
+
+
 class TestMeshKernel:
     @pytest.fixture(scope="class")
     def tables(self, sim_dataset):
@@ -375,6 +389,44 @@ class TestMeshKernel:
         got = mesh_over_etas(_DatasetTables(data), -2.0, 0.3, 4.0, 1.5,
                              (0.0, 1.0))
         assert got[0] == 0.0 and got[1] < 0.0
+
+    @pytest.mark.parametrize("case", sorted(SCORE_CASES))
+    @pytest.mark.parametrize("eta", [1.0, 0.8])
+    def test_score_matches_central_differences(self, score_datasets, case,
+                                               eta):
+        # the score is the gradient in the polish coordinates (alpha,
+        # log beta, log lambda, log gamma, logit eta); at eta = 1 its
+        # logit eta entry is 0 and the differences leave eta at 1
+        tables = _DatasetTables(score_datasets[case])
+        a, b, lam, gamma = SCORE_CASES[case]
+        y = np.array([a, math.log(b), math.log(lam), math.log(gamma),
+                      math.log(eta / (1.0 - eta)) if eta < 1.0 else 0.0])
+        d = 5 if eta < 1.0 else 4
+
+        def loglik(y):
+            e = float(expit(y[4])) if d == 5 else 1.0
+            return float(_mesh_loglik(tables, y[0], math.exp(y[1]),
+                                      math.exp(y[2]), math.exp(y[3]), e))
+
+        value, score = _mesh_loglik(tables, a, b, lam, gamma, eta,
+                                    score=True)
+        assert abs(value - float(_mesh_loglik(tables, a, b, lam, gamma,
+                                              eta))) <= 1e-12
+        assert score.shape == (5,)
+        if d == 4:
+            assert score[4] == 0.0
+        for i in range(d):
+            h = 1e-5 * (1.0 + abs(y[i]))
+            yp, ym = y.copy(), y.copy()
+            yp[i] += h
+            ym[i] -= h
+            fd = (loglik(yp) - loglik(ym)) / (2.0 * h)
+            assert abs(score[i] - fd) <= 1e-6 * abs(fd), (i, score[i], fd)
+
+    def test_score_needs_one_point(self, tables):
+        with pytest.raises(DomainError):
+            _mesh_loglik(tables, np.array([-3.0, -2.0]), 0.15, 4.0, 1.5,
+                         1.0, score=True)
 
     def test_times_without_counts_are_skipped(self):
         # the empty middle column contributes no nodes and no cells
@@ -505,12 +557,12 @@ class TestProfileIterate:
         # whatever rounding separates its evaluations from the sweep's;
         # on this design the sweep's SSB grid value sits 6.8e-13 nats
         # below the polish's own value at the same point
-        def stay(obj, x0):
-            return OptimizeResult(x=np.array(x0), fun=obj(x0), success=False,
-                                  nfev=1)
+        def stay(obj, x0, bounds):
+            return OptimizeResult(x=np.array(x0), fun=obj(x0)[0],
+                                  success=False, nfev=1)
 
         data = make_protocol_dataset(seed=1)[1]
-        monkeypatch.setattr(estimation, "_nelder_mead", stay)
+        monkeypatch.setattr(estimation, "_lbfgs", stay)
         grid = grid_search_logistic(data, 4.0, 1.5)
         fit = profile_iterate(data, 4.0, 1.5, model,
                               config=FitConfig(compute_se=False))
@@ -523,6 +575,19 @@ class TestProfileIterate:
             assert est["eta"] == 1.0
             assert fit.trace[2]["evals"] == len(estimation._ETA_STARTS)
         assert fit.converged == (not grid.on_boundary)
+
+    @pytest.mark.parametrize("name, value", [("_MAXITER", 2),
+                                             ("_SCORE_TOL", 0.0)])
+    def test_polish_stopped_short_is_not_converged(self, sim_dataset,
+                                                   monkeypatch, name, value):
+        # a polish that ends on its iteration cap, or with a projected
+        # score above the tolerance, reports converged False
+        cfg = FitConfig(compute_se=False)
+        assert profile_iterate(sim_dataset, 4.0, 1.5, config=cfg).converged
+        monkeypatch.setattr(estimation, name, value)
+        fit = profile_iterate(sim_dataset, 4.0, 1.5, config=cfg)
+        assert fit.trace[1]["value"] > fit.trace[0]["value"]
+        assert not fit.converged
 
     def test_estimate_beats_truth_on_its_own_data(self, sim_fits,
                                                   sim_dataset, theta0):
@@ -696,6 +761,17 @@ class TestFitModels:
             assert alone.converged == fit.converged
             assert alone.std_errors == fit.std_errors
             assert alone.trace == fit.trace
+
+    def test_ssb_plus_search_stops_at_eta_one(self, nested_run):
+        # every eta start heads for eta = 1 on this design; the search
+        # stops at the bound on eta instead of walking logit eta towards
+        # +inf (3,084 simplex evaluations), and SSB+ quotes SSB
+        _, fits, _, _ = nested_run
+        plus = fits[-1]
+        assert plus.model is ModelKind.SSB_PLUS
+        assert plus.estimates["eta"] == 1.0
+        assert plus.loglik == pytest.approx(-14.01341653, abs=1e-8)
+        assert 0 < plus.trace[-1]["evals"] <= 3084 // 5
 
     def test_lrm_plus_on_saturated_counts_quotes_the_lrm_fit(self):
         # every count at the last three times is the whole mass, so the
