@@ -32,7 +32,8 @@ import numpy as np
 
 from .analysis import dynamics_report, write_report
 from .core import (CountDataset, ModelKind, SsbParams, dump_json,
-                   fit_result_to_dict, format_count_csv, parse_count_csv)
+                   fit_result_to_dict, format_count_csv, parse_count_csv,
+                   validate_params)
 from .errors import CsvFormatError, DomainError, MassHistError
 from .estimation import (FitConfig, bic_delta, fit_models,
                          initial_weibull_estimate, profile_iterate,
@@ -158,12 +159,6 @@ def _resolve(ns: argparse.Namespace, keys: dict) -> dict:
         else:
             out[name] = default
     return out
-
-
-def _theta_from(opts: dict) -> SsbParams:
-    return SsbParams(alpha=float(opts["alpha"]), beta=float(opts["beta"]),
-                     lam=float(opts["lam"]), gamma=float(opts["gamma"]),
-                     eta=float(opts["eta"]))
 
 
 def _schedule_from(value) -> tuple[float, ...]:
@@ -292,7 +287,7 @@ def _sim_echo(command: str, opts: dict, config: SimConfig,
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
     opts = _sim_options(ns, {})
-    params = _theta_from(opts)
+    params = validate_params(ModelKind.SSB_PLUS, opts)
     config = _sim_config(opts)
     outdir = str(opts["out"])
     _write_echo(outdir, _sim_echo("simulate", opts, config, {}))
@@ -308,7 +303,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
 def cmd_compare(ns: argparse.Namespace) -> int:
     opts = _sim_options(ns, {"hours": "4,16,30"})
     hours = _hours_from(opts["hours"])
-    params = _theta_from(opts)
+    params = validate_params(ModelKind.SSB_PLUS, opts)
     config = _sim_config(opts)
     outdir = str(opts["out"])
     _write_echo(outdir, _sim_echo("compare", opts, config,
@@ -339,14 +334,11 @@ def _one_replicate(params: SsbParams, config: SimConfig) -> dict:
     lam0, gamma0 = initial_weibull_estimate(data)
     fit = profile_iterate(data, lam0, gamma0, ModelKind.SSB,
                           config=FitConfig(compute_se=False))
-    return {"lambda0": lam0, "gamma0": gamma0,
-            "alpha": fit.estimates["alpha"], "beta": fit.estimates["beta"],
-            "lambda": fit.estimates["lambda"],
-            "gamma": fit.estimates["gamma"],
+    return {"lambda0": lam0, "gamma0": gamma0, **fit.estimates,
             "loglik": fit.loglik, "converged": fit.converged}
 
 
-_SUMMARY_ROWS = ("lambda0", "gamma0", "alpha", "beta", "lambda", "gamma")
+_SUMMARY_ROWS = ("lambda0", "gamma0") + ModelKind.SSB.names
 
 
 def cmd_replicate_study(ns: argparse.Namespace) -> int:
@@ -355,7 +347,7 @@ def cmd_replicate_study(ns: argparse.Namespace) -> int:
     if n_reps < 1:
         raise DomainError("--n-reps must be >= 1")
     workers = max(1, int(opts["workers"]))
-    params = _theta_from(opts)  # validates theta early
+    params = validate_params(ModelKind.SSB_PLUS, opts)  # validates theta early
     config = _sim_config(opts)
     outdir = str(opts["out"])
     _write_echo(outdir, _sim_echo("replicate-study", opts, config,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -54,13 +54,18 @@ class ModelKind(str, Enum):
         return _LABELS[self]
 
     @property
-    def n_params(self) -> int:
-        """Free parameter count in the default parametrization.
+    def names(self) -> tuple[str, ...]:
+        """External parameter names in canonical order, the order of a
+        fit's estimates ("lambda" is the external name of SsbParams.lam).
+        LRM_RE lists its five (eta pinned at 1); a free-eta random
+        effects fit appends "eta"."""
+        return _NAMES[self]
 
-        LRM_RE reports 5 here (eta pinned at 1); a free-eta random
-        effects fit carries 6 and fit results record their own count.
-        """
-        return _NPARAMS[self]
+    @property
+    def n_params(self) -> int:
+        """Free parameter count in the default parametrization; fit
+        results record their own count."""
+        return len(self.names)
 
 
 _LABELS = {
@@ -71,12 +76,12 @@ _LABELS = {
     ModelKind.SSB_PLUS: "SSB+",
 }
 
-_NPARAMS = {
-    ModelKind.LRM: 2,
-    ModelKind.LRM_PLUS: 3,
-    ModelKind.LRM_RE: 5,
-    ModelKind.SSB: 4,
-    ModelKind.SSB_PLUS: 5,
+_NAMES = {
+    ModelKind.LRM: ("alpha", "beta"),
+    ModelKind.LRM_PLUS: ("alpha", "beta", "eta"),
+    ModelKind.LRM_RE: ("mu1", "mu2", "rho", "sigma1", "sigma2"),
+    ModelKind.SSB: ("alpha", "beta", "lambda", "gamma"),
+    ModelKind.SSB_PLUS: ("alpha", "beta", "lambda", "gamma", "eta"),
 }
 
 
@@ -356,30 +361,14 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# parameter <-> plain-dict conversion ("lambda" is the external key; the
-# attribute is lam because of the Python keyword)
-
-_PARAM_FIELDS = {
-    ModelKind.LRM: ("alpha", "beta"),
-    ModelKind.LRM_PLUS: ("alpha", "beta", "eta"),
-    ModelKind.LRM_RE: ("mu1", "mu2", "rho", "sigma1", "sigma2", "eta"),
-    ModelKind.SSB: ("alpha", "beta", "lambda", "gamma"),
-    ModelKind.SSB_PLUS: ("alpha", "beta", "lambda", "gamma", "eta"),
-}
-
-
-def param_names(model: ModelKind, *, free_eta: bool = False) -> tuple[str, ...]:
-    """External parameter names for a model, in canonical order."""
-    model = ModelKind(model)
-    names = _PARAM_FIELDS[model]
-    if model is ModelKind.LRM_RE and not free_eta:
-        names = names[:-1]
-    return names
+# parameter <-> plain-dict conversion, by ModelKind.names
 
 
 def validate_params(model: ModelKind, values: Mapping[str, float]):
     """Turn a name->value mapping into the parameter object for a model,
-    applying that model's domain checks.
+    applying that model's domain checks.  values needs the model's
+    names; eta defaults to 1, which LRM and SSB require, and "lam" is
+    accepted for "lambda".  Other keys are ignored.
 
     SSB / SSB_PLUS return SsbParams and LRM_RE returns ReParams.  LRM /
     LRM_PLUS have no lead-time or random-effect parameters, so they
@@ -391,48 +380,31 @@ def validate_params(model: ModelKind, values: Mapping[str, float]):
         raise DomainError("give either 'lambda' or 'lam', not both")
     if "lam" in vals:
         vals["lambda"] = vals.pop("lam")
-    if model in (ModelKind.SSB, ModelKind.SSB_PLUS):
-        eta = vals.get("eta", 1.0)
-        if model is ModelKind.SSB and float(eta) != 1.0:
-            raise DomainError("the base shared-lead-time model fixes eta = 1")
-        missing = [n for n in ("alpha", "beta", "lambda", "gamma")
-                   if n not in vals]
-        if missing:
-            raise DomainError(f"missing parameter(s): {', '.join(missing)}")
-        return SsbParams(alpha=vals["alpha"], beta=vals["beta"],
-                         lam=vals["lambda"], gamma=vals["gamma"], eta=eta)
-    if model is ModelKind.LRM_RE:
-        missing = [n for n in ("mu1", "mu2", "rho", "sigma1", "sigma2")
-                   if n not in vals]
-        if missing:
-            raise DomainError(f"missing parameter(s): {', '.join(missing)}")
-        return ReParams(mu1=vals["mu1"], mu2=vals["mu2"], rho=vals["rho"],
-                        sigma1=vals["sigma1"], sigma2=vals["sigma2"],
-                        eta=vals.get("eta", 1.0))
-    # plain logistic models
-    missing = [n for n in ("alpha", "beta") if n not in vals]
+    names = [n for n in model.names if n != "eta"]
+    missing = [n for n in names if n not in vals]
     if missing:
         raise DomainError(f"missing parameter(s): {', '.join(missing)}")
-    alpha = _finite(vals["alpha"], "alpha")
-    beta = _finite(vals["beta"], "beta")
+    eta = vals.get("eta", 1.0)
+    if model in (ModelKind.LRM, ModelKind.SSB) and float(eta) != 1.0:
+        raise DomainError(f"{model.label} fixes eta = 1")
+    theta = [vals[n] for n in names]
+    if model is ModelKind.LRM_RE:
+        return ReParams(*theta, eta=eta)
+    if model in (ModelKind.SSB, ModelKind.SSB_PLUS):
+        return SsbParams(*theta, eta=eta)
+    alpha, beta = (_finite(vals[n], n) for n in names)
     _require(beta > 0.0, f"beta must be > 0, got {beta!r}")
-    eta = _finite(vals.get("eta", 1.0), "eta")
-    if model is ModelKind.LRM and eta != 1.0:
-        raise DomainError("the plain logistic model fixes eta = 1")
+    eta = _finite(eta, "eta")
     _require(0.0 <= eta <= 1.0, f"eta must lie in [0, 1], got {eta!r}")
     return {"alpha": alpha, "beta": beta, "eta": eta}
 
 
 def params_to_dict(params) -> dict[str, float]:
-    """Serialize a parameter object to external names."""
-    if isinstance(params, SsbParams):
-        return {"alpha": params.alpha, "beta": params.beta,
-                "lambda": params.lam, "gamma": params.gamma,
-                "eta": params.eta}
-    if isinstance(params, ReParams):
-        return {"mu1": params.mu1, "mu2": params.mu2, "rho": params.rho,
-                "sigma1": params.sigma1, "sigma2": params.sigma2,
-                "eta": params.eta}
+    """Serialize a parameter object to external names, eta last."""
+    if isinstance(params, (SsbParams, ReParams)):
+        model = (ModelKind.SSB if isinstance(params, SsbParams)
+                 else ModelKind.LRM_RE)
+        return dict(zip(model.names + ("eta",), astuple(params)))
     if isinstance(params, Mapping):
         return {str(k): float(v) for k, v in params.items()}
     raise DomainError(f"unsupported parameter object {type(params)!r}")

@@ -41,10 +41,10 @@ likelihood trace is nondecreasing; the final quoted log-likelihood is
 recomputed with the adaptive rule.
 
 The logistic families (plain, extended, random effects) are smooth
-low-dimensional problems and go through Nelder-Mead from a coarse grid
-start, in transformed coordinates that keep them inside their domains;
-each of their objectives is one array pass over the cell table
-(lrm_loglik, re_loglik).
+low-dimensional problems and go through Nelder-Mead (_simplex) from a
+coarse grid start, in transformed coordinates that keep them inside
+their domains; each of their objectives is one array pass over the cell
+table (lrm_loglik, re_loglik).
 """
 from __future__ import annotations
 
@@ -57,7 +57,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit, logit
 
-from .core import CountDataset, FitResult, ModelKind, ReParams, SsbParams
+from .core import (CountDataset, FitResult, ModelKind, ReParams, SsbParams,
+                   validate_params)
 from .errors import (DomainError, InsufficientTimes, MissingBaseline,
                      NoFiniteMle, SingularInformation)
 from .likelihood import (_lrm_cells, frozen_dataset_loglik, lrm_loglik,
@@ -555,10 +556,6 @@ class FitConfig:
     re_free_eta: bool = False
 
 
-# the estimates of SSB+ in the order of a polish's point; SSB has four
-_SSB_NAMES = ("alpha", "beta", "lambda", "gamma", "eta")
-
-
 def _polish(data: CountDataset, tables: _DatasetTables, x: np.ndarray,
             point: tuple, on_box: bool, trace: list, cfg: FitConfig,
             etas: Sequence[float] = ()) -> FitResult:
@@ -601,7 +598,7 @@ def _polish(data: CountDataset, tables: _DatasetTables, x: np.ndarray,
     final_ll = ssb_dataset_loglik(SsbParams(*point), data, cfg.quad)
     trace.append({"stage": "final", "value": final_ll})
     return FitResult(model=model, loglik=final_ll, n_params=model.n_params,
-                     estimates=dict(zip(_SSB_NAMES[:model.n_params], point)),
+                     estimates=dict(zip(model.names, point)),
                      converged=not on_box, trace=trace)
 
 
@@ -611,7 +608,7 @@ def _polish_eta(data: CountDataset, ssb: FitResult,
     parameters, once from each eta in _ETA_STARTS (trace stage "eta",
     after ssb's search stages).  Its best end must beat the SSB point
     itself, at eta = 1."""
-    point = tuple(ssb.estimates[n] for n in _SSB_NAMES[:4]) + (1.0,)
+    point = tuple(ssb.estimates[n] for n in ModelKind.SSB.names) + (1.0,)
     x = np.array([point[0]] + [math.log(v) for v in point[1:4]])
     trace = [s for s in ssb.trace if s["stage"] != "final"]
     return _polish(data, _DatasetTables(data), x, point, not ssb.converged,
@@ -746,30 +743,39 @@ def _lrm_grid_scan(data: CountDataset, etas: np.ndarray) -> tuple:
     return best[1]
 
 
+def _simplex(model: ModelKind, names: Sequence[str], obj, unpack,
+             starts: Sequence[np.ndarray], **stage) -> FitResult:
+    """The logistic families' search tail: Nelder-Mead on obj from each
+    start, and the fit at the best end, whose natural-scale values
+    unpack gives in the order of names; its trace is one "simplex"
+    stage, plus stage's entries."""
+    best = min((_nelder_mead(obj, x0) for x0 in starts), key=lambda r: r.fun)
+    ll = -float(best.fun)
+    return FitResult(model=model, estimates=dict(zip(names, unpack(best.x))),
+                     loglik=ll, n_params=len(names),
+                     converged=bool(best.success),
+                     trace=[{"stage": "simplex", "value": ll, **stage}])
+
+
 def _fit_lrm(data: CountDataset, free_eta: bool) -> FitResult:
     model = ModelKind.LRM_PLUS if free_eta else ModelKind.LRM
     etas = np.linspace(0.5, 1.0, 6) if free_eta else np.array([1.0])
     a0, b0, e0 = _lrm_grid_scan(data, etas)
-
+    x0 = [a0, math.log(b0)]
     if free_eta:
-        def obj(x):
-            return -lrm_loglik(x[0], math.exp(x[1]), data, expit(x[2]))
         e0 = min(max(e0, 1e-3), 1.0 - 1e-3)
-        starts = [np.array([a0, math.log(b0), logit(e0)]),
-                  np.array([a0, math.log(b0), logit(0.98)])]
+        starts = [np.array(x0 + [logit(e)]) for e in (e0, 0.98)]
     else:
-        def obj(x):
-            return -lrm_loglik(x[0], math.exp(x[1]), data)
-        starts = [np.array([a0, math.log(b0)])]
+        starts = [np.array(x0)]
 
-    best = min((_nelder_mead(obj, x0) for x0 in starts), key=lambda r: r.fun)
-    ll = -float(best.fun)
-    estimates = {"alpha": float(best.x[0]), "beta": float(math.exp(best.x[1]))}
-    if free_eta:
-        estimates["eta"] = float(expit(best.x[2]))
-    return FitResult(model=model, estimates=estimates, loglik=ll,
-                     n_params=model.n_params, converged=bool(best.success),
-                     trace=[{"stage": "simplex", "value": ll}])
+    def unpack(x):
+        return (x[0], math.exp(x[1])) + ((expit(x[2]),) if free_eta else ())
+
+    def obj(x):
+        alpha, beta, *eta = unpack(x)
+        return -lrm_loglik(alpha, beta, data, *eta)
+
+    return _simplex(model, model.names, obj, unpack, starts)
 
 
 def _fit_re(data: CountDataset, cfg: FitConfig, lrm: FitResult) -> FitResult:
@@ -777,36 +783,21 @@ def _fit_re(data: CountDataset, cfg: FitConfig, lrm: FitResult) -> FitResult:
     free_eta = cfg.re_free_eta
     a0, b0 = lrm.estimates["alpha"], lrm.estimates["beta"]
 
-    def unpack(x) -> ReParams:
-        eta = float(expit(x[5])) if free_eta else 1.0
+    def unpack(x):
         rho = min(_RHO_CAP, max(-_RHO_CAP, float(np.tanh(x[2]))))
-        return ReParams(mu1=float(x[0]), mu2=float(x[1]), rho=rho,
-                        sigma1=float(math.exp(x[3])),
-                        sigma2=float(math.exp(x[4])), eta=eta)
+        return ((float(x[0]), float(x[1]), rho, math.exp(x[3]),
+                 math.exp(x[4])) + ((expit(x[5]),) if free_eta else ()))
 
     def obj(x):
-        return -re_loglik(unpack(x), data, cfg.quad)
+        return -re_loglik(ReParams(*unpack(x)), data, cfg.quad)
 
-    starts = []
-    for s1 in (0.5, 2.0):
-        for s2frac in (0.1, 0.5):
-            x = [a0, b0, 0.0, math.log(s1), math.log(max(s2frac * b0, 1e-4))]
-            if free_eta:
-                x.append(logit(0.95))
-            starts.append(np.array(x))
-
-    best = min((_nelder_mead(obj, x0) for x0 in starts), key=lambda r: r.fun)
-    params = unpack(best.x)
-    ll = -float(best.fun)
-    estimates = {"mu1": params.mu1, "mu2": params.mu2, "rho": params.rho,
-                 "sigma1": params.sigma1, "sigma2": params.sigma2}
-    if free_eta:
-        estimates["eta"] = params.eta
-    return FitResult(model=ModelKind.LRM_RE, estimates=estimates,
-                     loglik=ll, n_params=len(estimates),
-                     converged=bool(best.success),
-                     trace=[{"stage": "simplex", "value": ll,
-                             "n_starts": len(starts)}])
+    eta0 = [logit(0.95)] if free_eta else []
+    starts = [np.array([a0, b0, 0.0, math.log(s1),
+                        math.log(max(s2frac * b0, 1e-4))] + eta0)
+              for s1 in (0.5, 2.0) for s2frac in (0.1, 0.5)]
+    names = ModelKind.LRM_RE.names + (("eta",) if free_eta else ())
+    return _simplex(ModelKind.LRM_RE, names, obj, unpack, starts,
+                    n_starts=len(starts))
 
 
 def _search(data: CountDataset, model: ModelKind, cfg: FitConfig,
@@ -877,18 +868,15 @@ def _attach_se(result: FitResult, data: CountDataset,
                       for h, n in zip(steps, names)])
 
     if model in (ModelKind.SSB, ModelKind.SSB_PLUS):
-        params = SsbParams(alpha=est["alpha"], beta=est["beta"],
-                           lam=est["lambda"], gamma=est["gamma"], eta=eta)
-        loglik = frozen_dataset_loglik(params, data, cfg.quad,
-                                       free_eta=free_eta)
+        loglik = frozen_dataset_loglik(validate_params(model, est), data,
+                                       cfg.quad, free_eta=free_eta)
     else:
         def loglik(th):
-            th_eta = th[-1] if free_eta else eta
             try:
+                p = validate_params(model, {**est, **dict(zip(names, th))})
                 if model is ModelKind.LRM_RE:
-                    return re_loglik(ReParams(*th[:5], eta=th_eta), data,
-                                     cfg.quad)
-                return lrm_loglik(th[0], th[1], data, th_eta)
+                    return re_loglik(p, data, cfg.quad)
+                return lrm_loglik(p["alpha"], p["beta"], data, p["eta"])
             except DomainError:
                 return -np.inf
 
@@ -934,7 +922,8 @@ def fit_models(data: CountDataset, models: Sequence[ModelKind],
                config: Optional[FitConfig] = None) -> list[FitResult]:
     """Fit each of `models` once, in MODEL_ORDER, passing each fit to
     the models that nest it as their `sub`.  Returns the fits in
-    MODEL_ORDER, equal to separate fit_model calls."""
+    MODEL_ORDER, equal to separate fit_model calls.  Logs each fit's
+    trace at INFO, one line per stage."""
     wanted = {ModelKind(m) for m in models}
     fits: dict[ModelKind, FitResult] = {}
     for m in MODEL_ORDER:
@@ -942,6 +931,10 @@ def fit_models(data: CountDataset, models: Sequence[ModelKind],
             log.info("fitting %s", m.value)
             fits[m] = fit_model(data, m, config,
                                 sub=fits.get(_SUBMODEL.get(m)))
+            for stage in fits[m].trace:
+                log.info("%s %s: %s", m.value, stage["stage"],
+                         " ".join(f"{k}={v!r}" for k, v in stage.items()
+                                  if k != "stage"))
     return list(fits.values())
 
 

@@ -23,7 +23,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .core import CountDataset, ReParams, SsbParams, Trajectory
+from .core import (CountDataset, ModelKind, ReParams, SsbParams, Trajectory,
+                   validate_params)
 from .errors import (DomainError, RejectionBudgetExceeded, SizeMismatch)
 from .quadrature import weibull_ppf
 
@@ -272,18 +273,12 @@ def run_protocol(theta0: SsbParams, config: SimConfig,
     random-effects trajectory i.
     """
     from .estimation import FitConfig, fit_models  # deferred, avoids cycle
-    from .core import ModelKind
 
     cfg = fit_config or FitConfig(compute_se=False)
     trajs, data = simulate_design(theta0, config)
     lrm_fit, re_fit, ssb_fit = fit_models(
         data, (ModelKind.LRM, ModelKind.LRM_RE, ModelKind.SSB), cfg)
-    re_params = ReParams(mu1=re_fit.estimates["mu1"],
-                         mu2=re_fit.estimates["mu2"],
-                         rho=re_fit.estimates["rho"],
-                         sigma1=re_fit.estimates["sigma1"],
-                         sigma2=re_fit.estimates["sigma2"],
-                         eta=re_fit.estimates.get("eta", 1.0))
+    re_params = validate_params(ModelKind.LRM_RE, re_fit.estimates)
     re_trajs = [simulate_re_trajectory(re_params, config.mass, config.horizon,
                                        substream(config.seed, 2, i))
                 for i in range(config.n_trajectories)]

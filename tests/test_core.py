@@ -7,7 +7,7 @@ import pytest
 
 from masshist.core import (CountDataset, FitResult, ModelKind, ReParams,
                            SsbParams, Trajectory, dump_json, fit_result_from_dict,
-                           fit_result_to_dict, format_count_csv, param_names,
+                           fit_result_to_dict, format_count_csv,
                            params_from_dict, params_to_dict, parse_count_csv,
                            validate_params)
 from masshist.errors import CsvFormatError, DomainError
@@ -129,11 +129,19 @@ class TestValidateParams:
             assert params_to_dict(obj) == vals
 
     def test_param_names(self):
-        assert param_names(ModelKind.SSB) == ("alpha", "beta", "lambda",
-                                              "gamma")
-        assert param_names(ModelKind.LRM_RE) == ("mu1", "mu2", "rho",
-                                                 "sigma1", "sigma2")
-        assert param_names(ModelKind.LRM_RE, free_eta=True)[-1] == "eta"
+        assert ModelKind.SSB.names == ("alpha", "beta", "lambda", "gamma")
+        assert ModelKind.LRM_RE.names == ("mu1", "mu2", "rho", "sigma1",
+                                          "sigma2")
+        valid = {"alpha": -3.0, "beta": 0.15, "lambda": 4.0, "gamma": 1.5,
+                 "eta": 0.9, "mu1": -2.5, "mu2": 0.2, "rho": -0.7,
+                 "sigma1": 2.8, "sigma2": 0.16}
+        for model in ModelKind:
+            names = model.names
+            assert model.n_params == len(names)
+            vals = {n: valid[n] for n in names}
+            out = params_to_dict(validate_params(model, vals))
+            assert tuple(out) == tuple(dict.fromkeys(names + ("eta",)))
+            assert out == {"eta": 1.0, **vals}
 
 
 class TestCountDataset:

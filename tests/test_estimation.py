@@ -7,6 +7,8 @@ fixed-mesh sweeps that the batched kernel replaced.
 """
 
 import dataclasses
+import json
+import logging
 import math
 from collections import Counter
 
@@ -761,6 +763,37 @@ class TestFitModels:
             assert alone.converged == fit.converged
             assert alone.std_errors == fit.std_errors
             assert alone.trace == fit.trace
+
+    def test_submodel_read_back_from_json_gives_the_same_fit(self,
+                                                            nested_run):
+        # a fit read back from fit.json has its estimates in sorted key
+        # order (SSB's "gamma" before "lambda"); the nested fits must
+        # read them by name
+        data, fits, _, _ = nested_run
+        by_model = {f.model: f for f in fits}
+        for model in (ModelKind.SSB_PLUS, ModelKind.LRM_PLUS):
+            sub = by_model[estimation._SUBMODEL[model]]
+            doc = json.dumps(core.fit_result_to_dict(sub), sort_keys=True)
+            read = core.fit_result_from_dict(json.loads(doc))
+            assert read.estimates == sub.estimates
+            from_json = fit_model(data, model, COARSE_RE, sub=read)
+            in_memory = by_model[model]
+            assert from_json.estimates == in_memory.estimates
+            assert from_json.loglik == in_memory.loglik
+            assert from_json.converged == in_memory.converged
+            assert from_json.trace == in_memory.trace
+
+    def test_verbose_log_shows_each_trace_stage(self, caplog):
+        data = binomial_logistic_data(17, alpha=-2.0, beta=0.1)
+        with caplog.at_level(logging.INFO, logger=estimation.__name__):
+            fits = fit_models(data, [ModelKind.LRM, ModelKind.LRM_PLUS],
+                              FitConfig(compute_se=False))
+        expected = []
+        for fit in fits:
+            expected.append(f"fitting {fit.model.value}")
+            expected += [f"{fit.model.value} {s['stage']}: value="
+                         f"{s['value']!r}" for s in fit.trace]
+        assert [r.getMessage() for r in caplog.records] == expected
 
     def test_ssb_plus_search_stops_at_eta_one(self, nested_run):
         # every eta start heads for eta = 1 on this design; the search
